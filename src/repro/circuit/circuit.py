@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Hashable, Mapping
+from typing import TYPE_CHECKING, Hashable, Mapping
 
 import numpy as np
 
@@ -17,6 +17,10 @@ from repro.circuit.components import (
 )
 from repro.constants import E_CHARGE
 from repro.errors import CircuitError
+
+if TYPE_CHECKING:
+    from repro.circuit.electrostatics import Electrostatics
+    from repro.circuit.junction_table import JunctionTable
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,6 +200,25 @@ class Circuit:
                         lists[ref.index].append(rj.index)
             cached = tuple(tuple(sorted(set(lst))) for lst in lists)
             object.__setattr__(self, "_island_junctions_cache", cached)
+        return cached
+
+    def prepared_electrostatics(self) -> tuple["Electrostatics", "JunctionTable"]:
+        """The circuit's shared :class:`Electrostatics` and :class:`JunctionTable`.
+
+        Built on first use and then reused by every Monte Carlo engine
+        and master-equation solver on this circuit, so ``C^-1`` (n^2
+        floats in either backend, 210 MiB at c1908) is formed once per
+        circuit rather than once per engine.  Both are read-only.
+        """
+        cached = getattr(self, "_electrostatics_cache", None)
+        if cached is None:
+            # imported here: both modules import this one
+            from repro.circuit.electrostatics import Electrostatics
+            from repro.circuit.junction_table import JunctionTable
+
+            stat = Electrostatics(self)
+            cached = (stat, JunctionTable(self, stat))
+            object.__setattr__(self, "_electrostatics_cache", cached)
         return cached
 
     # ------------------------------------------------------------------

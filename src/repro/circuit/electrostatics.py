@@ -13,9 +13,15 @@ algebra on the Maxwell capacitance matrix ``C`` restricted to islands:
   zero (a lead has no charging self-energy).
 
 Two backends are provided: a dense explicit inverse for small/medium
-circuits and a sparse LU factorisation with a lazily populated column
-cache for the large logic benchmarks (thousands of islands), where the
-dense inverse would be slow to form and memory-hungry.
+circuits and a sparse LU factorisation for the large logic benchmarks
+(thousands of islands).  Both hold the full ``C^-1``: the sparse
+backend forms it once from the LU factors, a block of columns per
+solve, because the per-junction charging coefficients and the adaptive
+solver's incremental potential updates read every column of it anyway.
+Potentials are still solved through the LU factors there.
+
+``C^-1`` and ``q0`` are read-only: one :class:`Electrostatics` is shared
+by every engine on a circuit (:meth:`Circuit.prepared_electrostatics`).
 """
 
 from __future__ import annotations
@@ -32,6 +38,22 @@ from repro.static import array_contract, hot, units
 
 #: Circuits up to this many islands use the dense inverse backend.
 DENSE_LIMIT_DEFAULT = 1200
+
+#: Right-hand sides per sparse LU solve when forming ``C^-1``.  SuperLU
+#: hands multi-column solves to BLAS per supernode.  On c432 (2 cores,
+#: threaded OpenBLAS, busy host) a column cost 87 us alone, 36 us in
+#: blocks of 16 and 7 ms in blocks of 256; single-threaded, wider
+#: blocks than 16 gained nothing on c1908.
+SOLVE_BLOCK = 16
+
+#: Condition number above which an island group counts as floating.
+FLOATING_CONDITION = 1e12
+
+_FLOATING_MESSAGE = (
+    "capacitance matrix is singular or not positive definite; "
+    "a group of islands has no capacitive path to a fixed "
+    "potential (add a ground/gate capacitor or a source)"
+)
 
 
 def assemble_capacitance(circuit: Circuit) -> tuple[sp.csc_matrix, sp.csr_matrix]:
@@ -110,7 +132,6 @@ class Electrostatics:
     """
 
     def __init__(self, circuit: Circuit, dense_limit: int = DENSE_LIMIT_DEFAULT):
-        self.circuit = circuit
         n = circuit.n_islands
         self._n = n
 
@@ -133,17 +154,13 @@ class Electrostatics:
                 # is float rounding (an exactly floating group gives a
                 # numerically tiny pivot instead of a clean failure).
                 np.linalg.cholesky(dense_c)
-                floating = np.linalg.cond(dense_c) > 1e12
+                floating = np.linalg.cond(dense_c) > FLOATING_CONDITION
             except np.linalg.LinAlgError:
                 floating = True
             if floating:
-                raise CircuitError(
-                    "capacitance matrix is singular or not positive definite; "
-                    "a group of islands has no capacitive path to a fixed "
-                    "potential (add a ground/gate capacitor or a source)"
-                )
-            self._cinv: np.ndarray | None = np.linalg.inv(dense_c)
+                raise CircuitError(_FLOATING_MESSAGE)
             self._lu = None
+            self._cinv = np.linalg.inv(dense_c)
         else:
             try:
                 self._lu = spla.splu(cmat)
@@ -152,9 +169,36 @@ class Electrostatics:
                     "capacitance matrix factorisation failed; check that every "
                     "island group couples to a fixed potential"
                 ) from exc
-            self._cinv = None
-        self._column_cache: dict[int, np.ndarray] = {}
+            self._cinv = self._sparse_inverse()
+        self._cinv.flags.writeable = False
         self._q0 = circuit.background_charge_vector()
+        self._q0.flags.writeable = False
+
+    def _sparse_inverse(self) -> np.ndarray:
+        """``C^-1`` from the LU factors, :data:`SOLVE_BLOCK` columns per solve.
+
+        SuperLU solves the columns of a block independently, so every
+        column is bit-identical to a single right-hand-side solve.  The
+        result is Fortran-ordered so that each column is contiguous.
+        Raises :class:`CircuitError` when the 1-norm condition number
+        ``||C||_1 ||C^-1||_1`` exceeds :data:`FLOATING_CONDITION`: LU
+        factorisation succeeds on a floating group whose pivots are
+        only float rounding, and returns entries around ``1e33``.
+        """
+        n = self._n
+        cinv = np.empty((n, n), order="F")
+        column_norms = np.empty(n)
+        for start in range(0, n, SOLVE_BLOCK):
+            stop = min(start + SOLVE_BLOCK, n)
+            rhs = np.zeros((n, stop - start), order="F")
+            rhs[np.arange(start, stop), np.arange(stop - start)] = 1.0
+            block = self._lu.solve(rhs)
+            cinv[:, start:stop] = block
+            column_norms[start:stop] = np.abs(block).sum(axis=0)
+        condition = spla.norm(self._cmat, 1) * column_norms.max()
+        if not condition <= FLOATING_CONDITION:  # NaN counts as floating
+            raise CircuitError(_FLOATING_MESSAGE)
+        return cinv
 
     # ------------------------------------------------------------------
     # basic queries
@@ -178,23 +222,18 @@ class Electrostatics:
 
     @units("-> 1/F")
     def cinv_column(self, island: int) -> np.ndarray:
-        """Column ``island`` of ``C^-1`` (cached in the sparse backend)."""
-        if self._cinv is not None:
-            return self._cinv[:, island]
-        col = self._column_cache.get(island)
-        if col is None:
-            unit = np.zeros(self._n)
-            unit[island] = 1.0
-            col = self._lu.solve(unit)
-            self._column_cache[island] = col
-        return col
+        """Column ``island`` of ``C^-1`` (a read-only view)."""
+        return self._cinv[:, island]
 
     @units("-> 1/F")
     def cinv_entry(self, row: int, col: int) -> float:
         """Single entry of ``C^-1``."""
-        if self._cinv is not None:
-            return float(self._cinv[row, col])
-        return float(self.cinv_column(col)[row])
+        return float(self._cinv[row, col])
+
+    @units("-> 1/F")
+    def cinv_entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Entries ``C^-1[rows[k], cols[k]]`` gathered into one array."""
+        return self._cinv[rows, cols]
 
     # ------------------------------------------------------------------
     # potentials
@@ -215,7 +254,7 @@ class Electrostatics:
     def potentials(self, occupation: np.ndarray, vext: np.ndarray) -> np.ndarray:
         """Island potentials for the given occupation and source voltages."""
         rhs = self.island_charges(occupation) + self._cx @ vext
-        if self._cinv is not None:
+        if self._dense:
             return self._cinv @ rhs
         return self._lu.solve(rhs)
 
@@ -300,7 +339,7 @@ class Electrostatics:
         points retarget the sources without touching island charges.
         """
         rhs = self._cx @ dvext
-        if self._cinv is not None:
+        if self._dense:
             return self._cinv @ rhs
         return self._lu.solve(rhs)
 
@@ -321,7 +360,7 @@ class Electrostatics:
         this bookkeeping identity exactly.
         """
         qeff = self.island_charges(occupation) + self._cx @ vext
-        if self._cinv is not None:
+        if self._dense:
             v = self._cinv @ qeff
         else:
             v = self._lu.solve(qeff)

@@ -37,12 +37,9 @@ class JunctionTable:
         self.n_junctions = n
         self.resistance = np.array([rj.resistance for rj in resolved])
         self.capacitance = np.array([rj.capacitance for rj in resolved])
-        self.charging = np.array(
-            [stat.charging_coefficient(rj.ref_a, rj.ref_b) for rj in resolved]
-        )
 
-        a_island = np.array([rj.ref_a.is_island for rj in resolved])
-        b_island = np.array([rj.ref_b.is_island for rj in resolved])
+        a_island = np.array([rj.ref_a.is_island for rj in resolved], dtype=bool)
+        b_island = np.array([rj.ref_b.is_island for rj in resolved], dtype=bool)
         index_a = np.array([rj.ref_a.index for rj in resolved], dtype=np.intp)
         index_b = np.array([rj.ref_b.index for rj in resolved], dtype=np.intp)
         #: public endpoint views used by the adaptive solver's per-junction
@@ -61,6 +58,20 @@ class JunctionTable:
         self._b_isl_idx = index_b[b_island]
         self._b_ext_pos = np.flatnonzero(~b_island)
         self._b_ext_idx = index_b[~b_island]
+
+        # Electrostatics.charging_coefficient for every junction at once,
+        # in its operation order (+K_aa, +K_bb, -2 K_ab) so that each
+        # entry is bit-identical to the scalar form
+        both = a_island & b_island
+        self.charging = np.zeros(n)
+        self.charging[a_island] += stat.cinv_entries(self._a_isl_idx, self._a_isl_idx)
+        self.charging[b_island] += stat.cinv_entries(self._b_isl_idx, self._b_isl_idx)
+        self.charging[both] -= 2.0 * stat.cinv_entries(index_a[both], index_b[both])
+
+        # shared by every engine on the circuit: nothing may write to it
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @units("v_islands: V, vext: V -> V")
     def potential_drop(self, v_islands: np.ndarray, vext: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """The Monte Carlo engine orchestrating solvers, recorders and budgets.
 
 This is the public entry point for simulation (Fig. 3's outer loop):
-it prepares the electrostatics and rate models once, runs the chosen
-solver until a jump or simulated-time budget is exhausted, and exposes
-current measurement helpers.
+it takes the circuit's shared electrostatics, prepares the rate model,
+runs the chosen solver until a jump or simulated-time budget is
+exhausted, and exposes current measurement helpers.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.electrostatics import Electrostatics
-from repro.circuit.junction_table import JunctionTable
 from repro.constants import E_CHARGE
 from repro.core.adaptive import AdaptiveSolver
 from repro.core.base import BaseSolver, SolverStats
@@ -66,8 +64,9 @@ class MonteCarloEngine:
             "engine.prepare", category="engine",
             junctions=circuit.n_junctions, solver=self.config.solver,
         ):
-            self.electrostatics = Electrostatics(circuit)
-            self.junction_table = JunctionTable(circuit, self.electrostatics)
+            self.electrostatics, self.junction_table = (
+                circuit.prepared_electrostatics()
+            )
             self.model = TunnelingModel(
                 circuit,
                 self.electrostatics,

@@ -24,8 +24,6 @@ from collections import deque
 import numpy as np
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.electrostatics import Electrostatics
-from repro.circuit.junction_table import JunctionTable
 from repro.constants import E_CHARGE
 from repro.errors import SimulationError
 from repro.master.transitions import Transition, enumerate_transitions
@@ -79,8 +77,7 @@ class MasterEquationSolver:
         occupation_bound: int = 12,
     ):
         self.circuit = circuit
-        self.stat = Electrostatics(circuit)
-        self.table = JunctionTable(circuit, self.stat)
+        self.stat, self.table = circuit.prepared_electrostatics()
         self.model = TunnelingModel(
             circuit,
             self.stat,

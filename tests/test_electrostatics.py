@@ -1,11 +1,22 @@
 """Tests for the capacitance-matrix electrostatics (Eq. 2 and friends)."""
 
+import pickle
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from repro.circuit import CircuitBuilder, Electrostatics, build_set
+from repro.circuit import CircuitBuilder, Electrostatics, JunctionTable, build_set
+from repro.circuit.electrostatics import (
+    DENSE_LIMIT_DEFAULT,
+    SOLVE_BLOCK,
+    assemble_capacitance,
+)
 from repro.constants import E_CHARGE
+from repro.core import MonteCarloEngine, SimulationConfig
 from repro.errors import CircuitError
+from repro.master import MasterEquationSolver
+from repro.monitor.ledger import fingerprint_workload
 
 
 class TestSETElectrostatics:
@@ -138,17 +149,43 @@ class TestBackends:
         )
 
     def test_sparse_column_cache(self):
+        # C^-1 is formed at construction: column access performs no LU solve
         circuit = self._ladder(20)
         sparse = Electrostatics(circuit, dense_limit=5)
-        col1 = sparse.cinv_column(4)
-        col2 = sparse.cinv_column(4)
-        assert col1 is col2  # cached
+        expected = sparse.cinv_column(4).copy()
+        sparse._lu = None  # any further solve would raise
+        assert np.array_equal(sparse.cinv_column(4), expected)
+        assert sparse.cinv_entry(9, 4) == expected[9]
 
-    def test_floating_island_group_rejected(self):
+    def test_block_columns_match_single_solves(self):
+        # several full blocks plus a partial one
+        circuit = self._ladder(2 * SOLVE_BLOCK + 40)
+        sparse = Electrostatics(circuit, dense_limit=5)
+        lu = spla.splu(assemble_capacitance(circuit)[0])
+        for island in range(circuit.n_islands):
+            unit = np.zeros(circuit.n_islands)
+            unit[island] = 1.0
+            assert np.array_equal(sparse.cinv_column(island), lu.solve(unit))
+
+    @pytest.mark.parametrize("dense_limit", [5, DENSE_LIMIT_DEFAULT])
+    def test_vectorised_charging_matches_scalar(self, dense_limit):
+        for circuit in (build_set(), self._ladder(40)):
+            stat = Electrostatics(circuit, dense_limit=dense_limit)
+            table = JunctionTable(circuit, stat)
+            scalar = [
+                stat.charging_coefficient(rj.ref_a, rj.ref_b)
+                for rj in circuit.resolved_junctions()
+            ]
+            assert np.array_equal(table.charging, scalar)
+
+    @pytest.mark.parametrize(
+        "dense_limit", [DENSE_LIMIT_DEFAULT, 0], ids=["dense", "sparse"]
+    )
+    def test_floating_island_group_rejected(self, dense_limit):
         b = CircuitBuilder()
         b.add_junction("j1", "a", "b", 1e6, 1e-18)  # two islands, no anchor
         with pytest.raises(CircuitError):
-            Electrostatics(b.build())
+            Electrostatics(b.build(), dense_limit=dense_limit)
 
     def test_all_driven_circuit_rejected(self):
         b = CircuitBuilder()
@@ -156,3 +193,62 @@ class TestBackends:
         b.add_voltage_source("v1", "a", 0.01)
         with pytest.raises(CircuitError):
             Electrostatics(b.build())
+
+
+class TestSharedPreparation:
+    """One read-only electrostatics + junction table per circuit."""
+
+    def test_shared_arrays_are_read_only(self, double_dot_circuit):
+        stat, table = double_dot_circuit.prepared_electrostatics()
+        with pytest.raises(ValueError):
+            stat.cinv_column(0)[0] = 0.0
+        with pytest.raises(ValueError):
+            stat.background_charge[0] = 0.0
+        for name in ("resistance", "capacitance", "charging", "a_is_island",
+                     "a_index", "b_is_island", "b_index"):
+            with pytest.raises(ValueError):
+                getattr(table, name)[0] = 0
+
+    def test_preparing_leaves_the_content_address_unchanged(self, set_circuit):
+        config = SimulationConfig(temperature=5.0, seed=3)
+
+        def identity():
+            return (
+                pickle.dumps(set_circuit, protocol=pickle.HIGHEST_PROTOCOL),
+                fingerprint_workload(set_circuit, config, kind="run"),
+            )
+
+        before = identity()
+        engine = MonteCarloEngine(set_circuit, config)
+        master = MasterEquationSolver(set_circuit, temperature=5.0)
+        assert master.stat is engine.electrostatics
+        assert identity() == before
+
+    def test_engines_share_the_pair_and_match_unshared_engines(self):
+        from repro.logic import build_benchmark
+
+        mapped = build_benchmark("c432")
+        circuit = mapped.circuit
+        assert circuit.n_islands > DENSE_LIMIT_DEFAULT  # sparse backend
+        blob = pickle.dumps(circuit)
+
+        def engine(on, solver):
+            return MonteCarloEngine(on, SimulationConfig(
+                temperature=mapped.params.temperature, solver=solver,
+                seed=11, event_hash=True,
+            ))
+
+        def event_hashes(engines):
+            for _ in range(3):  # interleaved, as the benchmark runs them
+                for eng in engines:
+                    eng.run(max_jumps=100)
+            return [eng.event_hash() for eng in engines]
+
+        solvers = ("adaptive", "nonadaptive")
+        shared = [engine(circuit, solver) for solver in solvers]
+        assert shared[0].electrostatics is shared[1].electrostatics
+        assert shared[0].junction_table is shared[1].junction_table
+        # each reference engine gets its own unpickled copy: nothing shared
+        alone = [engine(pickle.loads(blob), solver) for solver in solvers]
+        assert alone[0].electrostatics is not alone[1].electrostatics
+        assert event_hashes(shared) == event_hashes(alone)
