@@ -16,7 +16,10 @@ changed appreciably have their rates recomputed:
    (see :class:`~repro.core.config.SimulationConfig`) — the junction is
    flagged for recalculation and its neighbours are tested too
    (breadth-first), otherwise the accumulated factor is kept for next
-   time;
+   time.  The per-event walk compares ``|b(i)|`` with a limit
+   ``(lambda/e) * min(...)`` stored when the rate was computed; the
+   vectorised wide-front walk compares ``e*|b(i)|`` with
+   ``lambda * min(...)``;
 4. every ``full_refresh_interval`` events all rates are recomputed,
    bounding the cumulative error.
 
@@ -96,7 +99,12 @@ class AdaptiveSolver(BaseSolver):
         self._a_index = junction_table.a_index
         self._b_is_island = junction_table.b_is_island
         self._b_index = junction_table.b_index
-        self._b0 = np.zeros(self.n_junctions)
+        # Algorithm 1's per-junction testing state, in plain Python
+        # floats for the scalar walk: the testing factor b0 and the test
+        # limit (lambda / e) * min(|dW_fw|, |dW_bw|, cap), written
+        # wherever the junction's rate is written
+        self._b0 = [0.0] * self.n_junctions
+        self._limit = [0.0] * self.n_junctions
         self._events_since_refresh = 0
         self._v = np.zeros(circuit.n_islands)
         self._dw_fw = np.zeros(self.n_junctions)
@@ -118,13 +126,25 @@ class AdaptiveSolver(BaseSolver):
         )
         self.stats.sequential_rate_evaluations += 2 * self.n_junctions
         self.stats.full_refreshes += 1
-        self._b0[:] = 0.0
+        self._b0 = [0.0] * self.n_junctions
+        self._limit = self._limits(self._dw_fw, self._dw_bw)
         self._events_since_refresh = 0
         if self._fast:
             if self._tree is None:
                 self._tree = PairRateTree(self._seq_fw, self._seq_bw)
             else:
                 self._tree.rebuild(self._seq_fw, self._seq_bw)
+
+    def _limits(self, dw_fw: np.ndarray, dw_bw: np.ndarray) -> list[float]:
+        """Test limits ``(lambda / e) * min(|dW_fw|, |dW_bw|, cap)`` for
+        a full refresh; the same IEEE operations as the recomputes'
+        scalar ``scale * min(abs(dwf), abs(dwb), cap)``, so both give
+        the same bits."""
+        scale = self.config.adaptive_threshold / E_CHARGE
+        smaller = np.minimum(
+            np.minimum(np.abs(dw_fw), np.abs(dw_bw)), self._energy_cap
+        )
+        return (scale * smaller).tolist()
 
     def _recompute_junctions(self, indices) -> None:
         """Recompute free energies and rates for flagged junctions only."""
@@ -165,36 +185,46 @@ class AdaptiveSolver(BaseSolver):
                 j = int(j)
                 self._seq_fw[j] = self.model.sequential_rate_single(j, dw_fw[pos])
                 self._seq_bw[j] = self.model.sequential_rate_single(j, dw_bw[pos])
-        self._b0[idx] = 0.0
+        leaves = idx.tolist()
+        scale = self.config.adaptive_threshold / E_CHARGE
+        cap = self._energy_cap
+        b0, limit = self._b0, self._limit
+        # scalar limits: a superconducting event flags one or two
+        # junctions, where numpy's per-call overhead would dominate
+        for j, dwf, dwb in zip(leaves, dw_fw.tolist(), dw_bw.tolist()):
+            b0[j] = 0.0
+            limit[j] = scale * min(abs(dwf), abs(dwb), cap)
         if self._tree is not None:
-            fw_arr, bw_arr = self._seq_fw, self._seq_bw
-            update = self._tree.update
-            for j in idx:
-                j = int(j)
-                update(j, fw_arr[j] + bw_arr[j])
+            self._tree.update(
+                leaves, (self._seq_fw[idx] + self._seq_bw[idx]).tolist()
+            )
         self.stats.sequential_rate_evaluations += 2 * idx.size
         self.stats.flagged_recalculations += idx.size
 
     def _recompute_scalar(self, indices: list) -> None:
         """Scalar-math recompute for the few junctions a tunnel event
         flags (normal-state circuits); avoids numpy's small-array
-        overhead in the hot path."""
+        overhead in the hot path and repairs the sampling tree once
+        for the whole batch."""
         kt = K_B * self.model.temperature
         e = E_CHARGE
-        v = self._v
-        vext = self.vext
+        scale = self.config.adaptive_threshold / e
+        cap = self._energy_cap
+        v = self._v.item
+        vext = self.vext.item
         a_isl, a_idx = self._a_isl_list, self._a_idx_list
         b_isl, b_idx = self._b_isl_list, self._b_idx_list
         charging = self._charging_list
         resistance = self._resistance_list
         fw_arr, bw_arr = self._seq_fw, self._seq_bw
         dwf_arr, dwb_arr = self._dw_fw, self._dw_bw
-        tree = self._tree
+        b0, limit = self._b0, self._limit
+        pair_rates = []
         e2 = e * e
 
         for i in indices:
-            phi_a = v[a_idx[i]] if a_isl[i] else vext[a_idx[i]]
-            phi_b = v[b_idx[i]] if b_isl[i] else vext[b_idx[i]]
+            phi_a = v(a_idx[i]) if a_isl[i] else vext(a_idx[i])
+            phi_b = v(b_idx[i]) if b_isl[i] else vext(b_idx[i])
             drop = phi_b - phi_a
             self_energy = charging[i]
             dwf = -e * drop + self_energy
@@ -222,9 +252,11 @@ class AdaptiveSolver(BaseSolver):
             dwb_arr[i] = dwb
             fw_arr[i] = fw
             bw_arr[i] = bw
-            self._b0[i] = 0.0
-            if tree is not None:
-                tree.update(i, fw + bw)
+            b0[i] = 0.0
+            limit[i] = scale * min(abs(dwf), abs(dwb), cap)
+            pair_rates.append(fw + bw)
+        if self._tree is not None:
+            self._tree.update(indices, pair_rates)
         self.stats.sequential_rate_evaluations += 2 * len(indices)
         self.stats.flagged_recalculations += len(indices)
 
@@ -252,52 +284,39 @@ class AdaptiveSolver(BaseSolver):
         """Algorithm 1: test, flag, and selectively recompute.
 
         The per-event walk touches a few dozen junctions; a tightly
-        bound scalar loop beats vectorisation at that size.  Large
-        seed sets (stimulus changes test every junction) take the
-        vectorised frontier path instead.
+        bound scalar loop on Python floats beats vectorisation at that
+        size.  Large seed sets (stimulus changes test every junction)
+        take the vectorised frontier path instead.
         """
         if len(seeds) > 256:
             self._adaptive_update_vector(dv, dvext, seeds)
             return
-        lam = self.config.adaptive_threshold
-        scale = lam / E_CHARGE
-        cap = self._energy_cap
-        b0 = self._b0
-        dw_fw, dw_bw = self._dw_fw, self._dw_bw
+        b0, limit = self._b0, self._limit
         a_isl, a_idx = self._a_isl_list, self._a_idx_list
         b_isl, b_idx = self._b_isl_list, self._b_idx_list
         neighbors = self._neighbors
-        dv_list = dv  # numpy scalar access; dv is dense and small-ish
-        ext = dvext
+        dv_item = dv.item
+        ext = None if dvext is None else dvext.item
         visited: set[int] = set()
         flagged: list[int] = []
+        # iterating a list while extending it walks the appended
+        # entries too: a breadth-first queue without head bookkeeping
         queue = list(seeds)
-        head = 0
-        while head < len(queue):
-            i = queue[head]
-            head += 1
+        for i in queue:
             if i in visited:
                 continue
             visited.add(i)
             change = 0.0
             if b_isl[i]:
-                change += dv_list[b_idx[i]]
+                change += dv_item(b_idx[i])
             elif ext is not None:
-                change += ext[b_idx[i]]
+                change += ext(b_idx[i])
             if a_isl[i]:
-                change -= dv_list[a_idx[i]]
+                change -= dv_item(a_idx[i])
             elif ext is not None:
-                change -= ext[a_idx[i]]
+                change -= ext(a_idx[i])
             b = b0[i] + change
-            fw = dw_fw[i]
-            bw = dw_bw[i]
-            limit = fw if fw >= 0 else -fw
-            other = bw if bw >= 0 else -bw
-            if other < limit:
-                limit = other
-            if cap < limit:
-                limit = cap
-            if abs(b) >= scale * limit:
+            if abs(b) >= limit[i]:
                 flagged.append(i)
                 queue.extend(neighbors[i])
             else:
@@ -313,6 +332,7 @@ class AdaptiveSolver(BaseSolver):
         if dvext is None:
             dvext = self._zero_ext
         visited = np.zeros(self.n_junctions, dtype=bool)
+        b0 = np.array(self._b0)
         flagged_parts: list[np.ndarray] = []
         frontier = np.unique(np.asarray(seeds, dtype=np.intp))
         while frontier.size:
@@ -320,7 +340,7 @@ class AdaptiveSolver(BaseSolver):
             if not frontier.size:
                 break
             visited[frontier] = True
-            b = self._b0[frontier] + self._frontier_potential_change(
+            b = b0[frontier] + self._frontier_potential_change(
                 frontier, dv, dvext
             )
             threshold = lam * np.minimum(
@@ -333,7 +353,7 @@ class AdaptiveSolver(BaseSolver):
             flag_mask = E_CHARGE * np.abs(b) >= threshold
             flagged = frontier[flag_mask]
             kept = frontier[~flag_mask]
-            self._b0[kept] = b[~flag_mask]
+            b0[kept] = b[~flag_mask]
             if flagged.size:
                 flagged_parts.append(flagged)
                 frontier = np.unique(
@@ -343,6 +363,7 @@ class AdaptiveSolver(BaseSolver):
                 )
             else:
                 break
+        self._b0 = b0.tolist()
         if flagged_parts:
             self._recompute_junctions(np.concatenate(flagged_parts))
 

@@ -11,7 +11,7 @@ from repro.circuit.electrostatics import Electrostatics
 from repro.circuit.junction_table import JunctionTable
 from repro.constants import E_CHARGE
 from repro.core.config import SimulationConfig
-from repro.core.event_solver import draw_time
+from repro.core.event_solver import choose_pair, draw_time
 from repro.core.events import EventKind, TunnelEvent
 from repro.errors import SimulationError
 from repro.physics.rates import TunnelingModel
@@ -212,11 +212,8 @@ class BaseSolver:
         target = self.rng.random() * total
 
         if target < pair_total or not secondary_payloads:
-            cumulative = np.cumsum(pair)
-            j = int(np.searchsorted(cumulative, target, side="right"))
-            j = min(j, self.n_junctions - 1)
-            residual = target - (cumulative[j - 1] if j else 0.0)
-            if residual < seq_fw[j]:
+            j, forward = choose_pair(pair, seq_fw, target)
+            if forward:
                 event = TunnelEvent(
                     EventKind.SEQUENTIAL, j, +1, 1, float(seq_dw_fw[j])
                 )

@@ -38,3 +38,27 @@ def choose_event(rates: np.ndarray, rng: np.random.Generator) -> int:
     target = rng.random() * total
     index = int(np.searchsorted(cumulative, target, side="right"))
     return min(index, len(rates) - 1)
+
+
+def choose_pair(
+    pair: np.ndarray, fw: np.ndarray, target: float
+) -> tuple[int, bool]:
+    """Junction whose interval of the cumulative pair rates
+    ``pair = fw + bw`` holds ``target``, and whether the event runs
+    forward (``True``) or backward.
+
+    ``target`` lies in ``[0, sum(pair))`` up to rounding: the caller's
+    total may be a differently ordered sum than the cumulative one.  A
+    target that rounding carries past the top of its pair's interval
+    takes the top of the last pair with a positive rate, so the chosen
+    pair and direction always have positive rates.
+    """
+    cumulative = np.cumsum(pair)
+    j = int(np.searchsorted(cumulative, target, side="right"))
+    residual = target - (cumulative[j - 1] if j else 0.0)
+    if j >= len(pair) or not residual < pair[j]:
+        j = min(j, len(pair) - 1)
+        while j > 0 and not pair[j] > 0.0:
+            j -= 1
+        residual = math.nextafter(pair[j], 0.0)
+    return j, bool(residual < fw[j])

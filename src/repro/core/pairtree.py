@@ -12,6 +12,8 @@ keep growing with circuit size.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -38,15 +40,26 @@ class PairRateTree:
         for i in range(self._size - 1, 0, -1):
             tree[i] = tree[2 * i] + tree[2 * i + 1]
 
-    def update(self, j: int, pair_rate: float) -> None:
-        """Set junction ``j``'s pair rate and repair the path (O(log J))."""
-        i = self._size + j
+    def update(self, leaves: list[int], pair_rates: list[float]) -> None:
+        """Set the pair rates of a batch of junctions, then repair the
+        union of their ancestors once, level by level.
+
+        Every repaired node is the sum of its final children, so the
+        tree equals the one that one-leaf-at-a-time repairs (or a full
+        :meth:`rebuild`) would leave, bit for bit; a junction listed
+        twice keeps its last rate.
+        """
+        size = self._size
         tree = self._tree
-        tree[i] = pair_rate
-        i //= 2
-        while i:
-            tree[i] = tree[2 * i] + tree[2 * i + 1]
-            i //= 2
+        for j, pair_rate in zip(leaves, pair_rates):
+            tree[size + j] = pair_rate
+        # every leaf sits at the same depth, so each pass holds one
+        # level; with a single leaf (size 1) the leaf is the root
+        nodes = {(size + j) >> 1 for j in leaves}
+        while nodes and 0 not in nodes:
+            for i in nodes:
+                tree[i] = tree[2 * i] + tree[2 * i + 1]
+            nodes = {i >> 1 for i in nodes}
 
     @property
     def total(self) -> float:
@@ -66,7 +79,13 @@ class PairRateTree:
                 target -= left
                 i = 2 * i + 1
         j = i - self._size
-        if j >= self._n:  # numerical edge: walk back into range
-            j = self._n - 1
-            target = min(target, tree[self._size + j])
+        if j >= self._n or not target < tree[i]:
+            # rounding carried the target past the top of its interval
+            # (a draw at the very top of the range): take the top of the
+            # last pair with a positive rate, so that neither the pair
+            # nor, through ``residual < fw``, its direction has rate 0
+            j = min(j, self._n - 1)
+            while j > 0 and not tree[self._size + j] > 0.0:
+                j -= 1
+            target = math.nextafter(tree[self._size + j], 0.0)
         return j, float(target)

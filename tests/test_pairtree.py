@@ -1,8 +1,11 @@
 """Tests for the Fenwick pair-rate sampling tree."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core.event_solver import choose_pair
 from repro.core.pairtree import PairRateTree
 
 
@@ -32,8 +35,7 @@ class TestPairRateTree:
         bw = np.zeros(3)
         tree = PairRateTree(fw, bw)
         assert tree.sample(0.5)[0] == 0
-        tree.update(0, 0.0)
-        tree.update(2, 4.0)
+        tree.update([0, 2], [0.0, 4.0])
         assert tree.total == pytest.approx(4.0)
         assert tree.sample(0.5)[0] == 2
 
@@ -44,14 +46,14 @@ class TestPairRateTree:
         for j in (0, 7, 30, 15):
             fw[j] = rng.random()
             bw[j] = rng.random()
-            tree.update(j, fw[j] + bw[j])
+            tree.update([j], [fw[j] + bw[j]])
         assert tree.total == pytest.approx(float(np.sum(fw + bw)), rel=1e-12)
 
     def test_rebuild_resets_state(self, rng):
         fw = rng.random(5)
         bw = rng.random(5)
         tree = PairRateTree(fw, bw)
-        tree.update(2, 100.0)
+        tree.update([2], [100.0])
         tree.rebuild(fw, bw)
         assert tree.total == pytest.approx(float(np.sum(fw + bw)), rel=1e-12)
 
@@ -80,3 +82,88 @@ class TestPairRateTree:
             counts[j] += 1
         probabilities = (fw + bw) / (fw + bw).sum()
         np.testing.assert_allclose(counts / n, probabilities, atol=0.02)
+
+
+def same_nodes(a: PairRateTree, b: PairRateTree) -> bool:
+    """Every node of the two trees holds the same bits."""
+    return np.array(a._tree).tobytes() == np.array(b._tree).tobytes()
+
+
+class TestBatchUpdate:
+    @pytest.mark.parametrize("n", [1, 2, 5, 13, 64, 100])
+    def test_batch_equals_sequential_and_rebuild(self, rng, n):
+        """Batches of 0 leaves (empty), 1, 3, n and 3n (duplicates, where
+        the last rate listed wins) on power-of-two and other sizes."""
+        fw = rng.random(n)
+        bw = rng.random(n)
+        for size in (0, 1, 3, n, 3 * n):
+            batched = PairRateTree(fw, bw)
+            sequential = PairRateTree(fw, bw)
+            pair = fw + bw
+            leaves = rng.integers(0, n, size=size).tolist()
+            scales = 10.0 ** rng.integers(-20, 5, size)
+            rates = (rng.random(size) * scales).tolist()
+            batched.update(leaves, rates)
+            for j, rate in zip(leaves, rates):
+                sequential.update([j], [rate])
+                pair[j] = rate
+            rebuilt = PairRateTree(pair, np.zeros(n))
+            assert same_nodes(batched, sequential)
+            assert same_nodes(batched, rebuilt)
+
+
+def random_rates(rng, n):
+    """Rates spanning 40 decades with about a third of them zero."""
+    rates = 10.0 ** rng.uniform(-20.0, 20.0, n)
+    rates[rng.random(n) < 0.35] = 0.0
+    return rates
+
+
+class TestTopOfRangeDraw:
+    """``rng.random() * total`` can round to just below ``total``.  A draw
+    there must still land on a pair, and in a direction, whose rate is
+    positive."""
+
+    TREES = 20000
+
+    def test_tree_draw(self, rng):
+        for _ in range(self.TREES):
+            n = int(rng.integers(1, 40))
+            fw = random_rates(rng, n)
+            bw = random_rates(rng, n)
+            if not np.any(fw + bw):
+                continue
+            tree = PairRateTree(fw, bw)
+            j, residual = tree.sample(math.nextafter(tree.total, 0.0))
+            assert 0 <= j < n and fw[j] + bw[j] > 0.0
+            # the adaptive solver's direction rule
+            assert (fw[j] if residual < fw[j] else bw[j]) > 0.0
+            assert 0.0 <= residual < fw[j] + bw[j]
+
+    def test_array_draw(self, rng):
+        for _ in range(self.TREES):
+            n = int(rng.integers(1, 40))
+            fw = random_rates(rng, n)
+            bw = random_rates(rng, n)
+            pair = fw + bw
+            if not np.any(pair):
+                continue
+            # the caller's total is numpy's pairwise sum, not the cumsum
+            target = math.nextafter(float(np.sum(pair)), 0.0)
+            j, forward = choose_pair(pair, fw, target)
+            assert 0 <= j < n and pair[j] > 0.0
+            assert (fw[j] if forward else bw[j]) > 0.0
+
+    def test_interior_draws_unchanged(self, rng):
+        """Away from the top of the range the array draw is the plain
+        cumulative search."""
+        fw = random_rates(rng, 30)
+        bw = random_rates(rng, 30)
+        pair = fw + bw
+        cumulative = np.cumsum(pair)
+        for target in rng.random(2000) * cumulative[-1] * (1 - 1e-9):
+            expected = int(np.searchsorted(cumulative, target, side="right"))
+            residual = target - (cumulative[expected - 1] if expected else 0.0)
+            assert choose_pair(pair, fw, target) == (
+                expected, bool(residual < fw[expected])
+            )

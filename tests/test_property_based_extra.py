@@ -48,10 +48,13 @@ class TestPairTreeProperties:
         fw = np.array(fw)
         bw = np.zeros_like(fw)
         tree = PairRateTree(fw, bw)
+        leaves, values = [], []
         for j, value in updates:
             if j < len(fw):
                 fw[j] = value
-                tree.update(j, value)
+                leaves.append(j)
+                values.append(value)
+        tree.update(leaves, values)
         assert tree.total == pytest.approx(float(fw.sum()), rel=1e-9,
                                            abs=1e-12)
 
