@@ -80,7 +80,7 @@ def payload_cell_key(worker: Callable[..., Any], payload: Any) -> str:
     """
     try:
         raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:  # repro-lint: allow — pickle raises arbitrary types
+    except Exception as exc:  # repro: allow[REPRO001] pickle raises arbitrary types
         raise CampaignError(
             f"shard payload of type {type(payload).__name__} cannot be "
             f"content-addressed for caching: {exc}"

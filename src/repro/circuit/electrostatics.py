@@ -34,7 +34,6 @@ from repro.circuit.circuit import Circuit
 from repro.circuit.components import NodeRef
 from repro.constants import E_CHARGE
 from repro.errors import CircuitError
-from repro.static import array_contract, hot, units
 
 #: Circuits up to this many islands use the dense inverse backend.
 DENSE_LIMIT_DEFAULT = 1200
@@ -220,17 +219,14 @@ class Electrostatics:
         """The Maxwell capacitance matrix over islands (dense copy)."""
         return self._cmat.toarray()
 
-    @units("-> 1/F")
     def cinv_column(self, island: int) -> np.ndarray:
         """Column ``island`` of ``C^-1`` (a read-only view)."""
         return self._cinv[:, island]
 
-    @units("-> 1/F")
     def cinv_entry(self, row: int, col: int) -> float:
         """Single entry of ``C^-1``."""
         return float(self._cinv[row, col])
 
-    @units("-> 1/F")
     def cinv_entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Entries ``C^-1[rows[k], cols[k]]`` gathered into one array."""
         return self._cinv[rows, cols]
@@ -238,19 +234,10 @@ class Electrostatics:
     # ------------------------------------------------------------------
     # potentials
     # ------------------------------------------------------------------
-    @hot
-    @units("occupation: 1 -> C")
-    @array_contract(occupation="(n_islands,) int64", out="(n_islands,) float64")
     def island_charges(self, occupation: np.ndarray) -> np.ndarray:
         """Total island charge ``q = -e*n + q0`` for integer occupations."""
         return -E_CHARGE * occupation + self._q0
 
-    @units("occupation: 1, vext: V -> V")
-    @array_contract(
-        occupation="(n_islands,) int64",
-        vext="(n_external,) float64",
-        out="(n_islands,) float64",
-    )
     def potentials(self, occupation: np.ndarray, vext: np.ndarray) -> np.ndarray:
         """Island potentials for the given occupation and source voltages."""
         rhs = self.island_charges(occupation) + self._cx @ vext
@@ -258,7 +245,6 @@ class Electrostatics:
             return self._cinv @ rhs
         return self._lu.solve(rhs)
 
-    @units("v_islands: V, vext: V -> V")
     def node_potential(
         self, ref: NodeRef, v_islands: np.ndarray, vext: np.ndarray
     ) -> float:
@@ -270,7 +256,6 @@ class Electrostatics:
     # ------------------------------------------------------------------
     # free energy and updates
     # ------------------------------------------------------------------
-    @units("-> 1/F")
     def charging_coefficient(self, ref_a: NodeRef, ref_b: NodeRef) -> float:
         """``K_aa - 2 K_ab + K_bb`` with lead entries taken as zero.
 
@@ -286,12 +271,6 @@ class Electrostatics:
             total -= 2.0 * self.cinv_entry(ref_a.index, ref_b.index)
         return total
 
-    @units("v_islands: V, vext: V, dq: C -> J")
-    @array_contract(
-        v_islands="(n_islands,) float64",
-        vext="(n_external,) float64",
-        out="() float64",
-    )
     def free_energy_change(
         self,
         ref_a: NodeRef,
@@ -311,9 +290,6 @@ class Electrostatics:
             ref_a, ref_b
         )
 
-    @hot
-    @units("dq: C -> V")
-    @array_contract(out="(n_islands,) float64")
     def potential_update(
         self, ref_a: NodeRef, ref_b: NodeRef, dq: float = -E_CHARGE
     ) -> np.ndarray:
@@ -330,8 +306,6 @@ class Electrostatics:
             dv += dq * self.cinv_column(ref_b.index)
         return dv
 
-    @units("dvext: V -> V")
-    @array_contract(dvext="(n_external,) float64", out="(n_islands,) float64")
     def source_potential_update(self, dvext: np.ndarray) -> np.ndarray:
         """Island potential change caused by a source-voltage change.
 
@@ -346,7 +320,6 @@ class Electrostatics:
     # ------------------------------------------------------------------
     # total energy (used by tests and the master-equation solver)
     # ------------------------------------------------------------------
-    @units("occupation: 1, vext: V -> J")
     def total_free_energy(self, occupation: np.ndarray, vext: np.ndarray) -> float:
         """Island free energy of a charge configuration, up to a
         state-independent constant.

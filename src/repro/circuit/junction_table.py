@@ -15,7 +15,6 @@ import numpy as np
 from repro.circuit.circuit import Circuit
 from repro.circuit.electrostatics import Electrostatics
 from repro.constants import E_CHARGE
-from repro.static import units
 
 
 class JunctionTable:
@@ -73,7 +72,6 @@ class JunctionTable:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-    @units("v_islands: V, vext: V -> V")
     def potential_drop(self, v_islands: np.ndarray, vext: np.ndarray) -> np.ndarray:
         """``phi_b - phi_a`` for every junction."""
         phi_a = np.empty(self.n_junctions)
@@ -84,7 +82,6 @@ class JunctionTable:
         phi_b[self._b_ext_pos] = vext[self._b_ext_idx]
         return phi_b - phi_a
 
-    @units("v_islands: V, vext: V, dq: C -> J")
     def free_energy_changes(
         self, v_islands: np.ndarray, vext: np.ndarray, dq: float = -E_CHARGE
     ) -> tuple[np.ndarray, np.ndarray]:

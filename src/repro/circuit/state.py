@@ -8,17 +8,15 @@ import numpy as np
 
 from repro.circuit.components import NodeRef
 from repro.errors import CircuitError
-from repro.static import array_contract
 
 
-@array_contract(out="(n_islands,) int64")
 def neutral_occupation(n_islands: int) -> np.ndarray:
     """All-zero occupation vector for ``n_islands`` islands.
 
     The canonical occupation dtype is ``int64``: every solver and the
     master-equation state space key on exact integer electron counts,
-    so the kernel contract pins the dtype at the single point where
-    occupation arrays are born.
+    so the dtype is pinned at the single point where occupation arrays
+    are born.
     """
     return np.zeros(n_islands, dtype=np.int64)
 

@@ -30,21 +30,16 @@ this CLI reproduces that workflow:
     Static analysis only: report every ``SEM0xx`` diagnostic of a deck
     or logic netlist without running any Monte Carlo.  The exit code
     mirrors the worst severity (0 clean/info, 1 warnings, 2 errors).
-``python -m repro sanitize [path ...]``
-    Static *determinism* analysis of the simulator sources themselves:
-    report every ``DET0xx`` diagnostic (unseeded RNGs, global RNG
-    state, wall-clock reads outside ``telemetry.clock``, worker state
-    writes, unpicklable pool payloads, unordered-set iteration).  The
-    exit code mirrors the worst severity, like ``lint``.
 ``python -m repro check [path ...]``
-    The unified static-analysis gate: run every rule family —
-    ``REPRO00x`` repository style, ``DET0xx`` determinism, ``ARR0xx``
-    array-kernel contracts, ``PERF0xx`` hot-loop hygiene and ``W000``
-    stale waivers — over the simulator sources in one pass.
-    ``--select`` filters by code prefix, ``--format json|sarif``
-    selects machine-readable output, ``--baseline FILE`` suppresses
-    known findings and ``--write-baseline FILE`` records the current
-    state.  The exit code mirrors the worst severity, like ``lint``.
+    Static analysis of the simulator sources themselves: ``REPRO00x``
+    repository style, ``DET0xx`` determinism (unseeded RNGs, global
+    RNG state, wall-clock reads outside ``telemetry.clock``, worker
+    state writes, unpicklable pool payloads, unordered-set iteration)
+    and ``W000`` stale waivers.  ``--select`` filters by code prefix
+    (``--select DET`` for the determinism rules alone; a prefix that
+    matches no code is an error), ``--format json|sarif`` selects
+    machine-readable output and ``--codes`` prints the code table.
+    The exit code mirrors the worst severity, like ``lint``.
 ``python -m repro run deck.txt --dsan``
     Runtime determinism sanitizer: execute the deck twice under the
     same seed with the pool boundary armed, compare order-sensitive
@@ -280,30 +275,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the table of SEM0xx diagnostic codes and exit",
     )
 
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="static determinism sanitizer: DET0xx diagnostics over "
-             "the simulator sources (no simulation)",
-    )
-    sanitize.add_argument(
-        "paths", type=Path, nargs="*",
-        help="files or directories to analyse (default: the installed "
-             "repro package sources)",
-    )
-    sanitize.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    sanitize.add_argument(
-        "--codes", action="store_true",
-        help="print the table of DET0xx diagnostic codes and exit",
-    )
-
     check = sub.add_parser(
         "check",
-        help="unified static analysis: repository, determinism, array, "
-             "hot-loop, numerical-stability and dimensional rules over "
-             "the simulator sources",
+        help="static analysis: repository-style and determinism rules "
+             "over the simulator sources",
     )
     check.add_argument(
         "paths", type=Path, nargs="*",
@@ -316,41 +291,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--codes", action="store_true",
-        help="print the full static-analysis code registry and exit",
+        help="print the static-analysis code table and exit",
     )
     check.add_argument(
         "--select", metavar="PREFIX[,PREFIX...]", default=None,
         help="keep only findings whose code starts with one of the "
-             "given prefixes (e.g. 'ARR,PERF')",
-    )
-    check.add_argument(
-        "--baseline", type=Path, default=None, metavar="FILE",
-        help="suppress findings whose fingerprints appear in this "
-             "baseline file (JSON, written by --write-baseline)",
-    )
-    check.add_argument(
-        "--write-baseline", type=Path, default=None, metavar="FILE",
-        help="write the fingerprints of every current finding to FILE "
-             "and exit 0",
-    )
-    check.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="analyse modules with N worker processes (0 = one per "
-             "CPU core; default: 1, serial)",
-    )
-    check.add_argument(
-        "--changed", action="store_true",
-        help="report findings only for modules changed per git status "
-             "plus everything that transitively depends on them",
-    )
-    check.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="incremental-analysis cache directory (default: the "
-             "shared repro cache under ~/.cache/repro/static)",
-    )
-    check.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental cache and re-analyse every module",
+             "given prefixes (e.g. 'DET' or 'REPRO001,W')",
     )
 
     report = sub.add_parser(
@@ -1003,66 +949,13 @@ def _cmd_lint(args) -> int:
     return exit_code
 
 
-def _cmd_sanitize(args) -> int:
-    from repro.dsan import (
-        code_table, default_root, report_as_json, sanitize_paths,
-    )
-
-    if args.codes:
-        print(code_table())
-        return 0
-    paths = list(args.paths) if args.paths else [default_root()]
-    report = sanitize_paths(paths)
-    if args.format == "json":
-        print(report_as_json(report))
-    else:
-        print(report.format())
-    return report.exit_code
-
-
-def _changed_python_files(anchor: Path) -> list[str]:
-    """Locally modified ``.py`` files per ``git status`` near ``anchor``."""
-    import subprocess
-
-    base = anchor if anchor.is_dir() else anchor.parent
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"], cwd=base,
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-        status = subprocess.run(
-            ["git", "status", "--porcelain"], cwd=base,
-            capture_output=True, text=True, check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError) as exc:
-        raise SimulationError(
-            f"--changed needs a git checkout around {base}: {exc}"
-        ) from exc
-    files: list[str] = []
-    for line in status.splitlines():
-        if len(line) < 4:
-            continue
-        path = line[3:]
-        if " -> " in path:  # rename: report the new location
-            path = path.split(" -> ", 1)[1]
-        path = path.strip().strip('"')
-        if path.endswith(".py"):
-            files.append(str(Path(top) / path))
-    return files
-
-
 def _cmd_check(args) -> int:
-    import os
-
     from repro.static import (
         check_paths,
         code_table,
         default_root,
-        default_static_cache_root,
-        load_baseline,
         report_as_json,
         report_as_sarif,
-        write_baseline,
     )
 
     if args.codes:
@@ -1074,37 +967,7 @@ def _cmd_check(args) -> int:
         select = tuple(
             part.strip() for part in args.select.split(",") if part.strip()
         )
-    baseline = None
-    if args.baseline is not None:
-        baseline = load_baseline(args.baseline)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if jobs < 1:
-        raise SimulationError(f"--jobs must be >= 0, got {args.jobs}")
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = (
-            args.cache_dir if args.cache_dir is not None
-            else default_static_cache_root()
-        )
-    changed = _changed_python_files(paths[0]) if args.changed else None
-    report = check_paths(
-        paths, select=select, baseline=baseline, jobs=jobs,
-        cache_dir=cache_dir, changed=changed,
-    )
-    if report.baseline_legacy_matches:
-        print(
-            f"note: {report.baseline_legacy_matches} baseline entries "
-            "matched only by deprecated line-number fingerprints; re-run "
-            "--write-baseline to upgrade the baseline file",
-            file=sys.stderr,
-        )
-    if args.write_baseline is not None:
-        write_baseline(report, args.write_baseline)
-        print(
-            f"wrote {len(report.findings) + len(report.baselined)} "
-            f"fingerprint(s) to {args.write_baseline}"
-        )
-        return 0
+    report = check_paths(paths, select=select)
     if args.format == "json":
         print(report_as_json(report))
     elif args.format == "sarif":
@@ -1175,8 +1038,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_info(args)
         if args.command == "lint":
             return _cmd_lint(args)
-        if args.command == "sanitize":
-            return _cmd_sanitize(args)
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "report":

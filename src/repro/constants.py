@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from repro.errors import PhysicsError
-from repro.static import units
 
 #: Elementary charge (C).  Exact since the 2019 SI redefinition.
 E_CHARGE = 1.602176634e-19
@@ -46,7 +45,6 @@ EV = E_CHARGE
 MEV = 1.0e-3 * E_CHARGE
 
 
-@units("temperature: K -> J")
 def thermal_energy(temperature: float) -> float:
     """Return ``k_B * T`` in joules for a temperature in kelvin.
 

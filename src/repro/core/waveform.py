@@ -109,7 +109,7 @@ class PiecewiseLinear(Waveform):
             if times[i] <= t <= times[i + 1]:
                 frac = (t - times[i]) / (times[i + 1] - times[i])
                 return values[i] + frac * (values[i + 1] - values[i])
-        raise AssertionError("unreachable")  # pragma: no cover  # repro-lint: allow
+        raise AssertionError("unreachable")  # pragma: no cover  # repro: allow[REPRO002]
 
 
 @dataclasses.dataclass

@@ -1,26 +1,17 @@
-"""Determinism & concurrency sanitizer (``repro sanitize`` / ``--dsan``).
+"""Runtime determinism sanitizer (``repro run --dsan``).
 
-Two halves guard the reproducibility contract the parallel layer
-promises (bit-identical results for any worker count):
+Guards the reproducibility contract the parallel layer promises
+(bit-identical results for any worker count) at run time
+(:mod:`repro.dsan.runtime`): event-stream hashing with shadow-run
+comparison plus pickle and state-leak verification of every pool
+shard while :func:`~repro.dsan.runtime.dsan_mode` is armed.
 
-* a **static pass** (:func:`sanitize_paths`) over the package source,
-  emitting stable ``DET0xx`` findings for unseeded/global RNG use,
-  wall-clock reads outside ``telemetry.clock``, worker-reachable
-  module-state writes, closures crossing the pool boundary and
-  unordered-set iteration feeding order-sensitive work;
-* a **runtime sanitizer** (:mod:`repro.dsan.runtime`): event-stream
-  hashing with shadow-run comparison (``repro run --dsan``) plus
-  pickle and state-leak verification of every pool shard while
-  :func:`~repro.dsan.runtime.dsan_mode` is armed.
-
-The static half is hosted on the unified analysis framework
-(:mod:`repro.static`); ``repro check`` runs the same DET rules
-alongside the repository, array and hot-loop passes.
+The static half — the ``DET0xx`` rules over the package source — is
+the ``det`` pass of ``repro check`` (:mod:`repro.static.det`; run it
+alone with ``repro check --select DET``).
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.dsan.runtime import (
     ShadowReport,
@@ -29,48 +20,9 @@ from repro.dsan.runtime import (
     verify_shadow,
 )
 
-#: static-pass names resolved lazily (PEP 562): the analyzer pulls in
-#: :mod:`repro.lint`, which imports the netlist and sweep layers — and
-#: those import *this* package for the runtime half.  Deferring the
-#: static half breaks that cycle while keeping ``from repro.dsan
-#: import sanitize_paths`` working.
-_STATIC_EXPORTS = {
-    "code_table": "repro.dsan.analyzer",
-    "default_root": "repro.dsan.analyzer",
-    "report_as_json": "repro.dsan.analyzer",
-    "sanitize_paths": "repro.dsan.analyzer",
-    "DET_CODES": "repro.dsan.diagnostics",
-    "DetCodeInfo": "repro.dsan.diagnostics",
-    "Finding": "repro.dsan.diagnostics",
-    "SanitizerReport": "repro.dsan.diagnostics",
-    "finding": "repro.dsan.diagnostics",
-    "waived_codes": "repro.dsan.diagnostics",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module_name = _STATIC_EXPORTS.get(name)
-    if module_name is None:
-        # repro-lint: allow — PEP 562 requires AttributeError here;
-        # anything else breaks hasattr()/getattr() on the package
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
 __all__ = [
-    "DET_CODES",
-    "DetCodeInfo",
-    "Finding",
-    "SanitizerReport",
     "ShadowReport",
-    "code_table",
-    "default_root",
     "dsan_mode",
-    "finding",
     "fold_hashes",
-    "report_as_json",
-    "sanitize_paths",
     "verify_shadow",
-    "waived_codes",
 ]

@@ -1,7 +1,8 @@
 """Runtime determinism sanitizer (the ``--dsan`` half).
 
-The static pass (:mod:`repro.dsan.rules`) catches hazard *patterns*;
-this module verifies the contract *on a live run*:
+The static ``det`` pass of ``repro check`` (:mod:`repro.static.det`)
+catches hazard *patterns*; this module verifies the contract *on a
+live run*:
 
 * :func:`dsan_mode` arms the process-pool layer
   (:mod:`repro.parallel.pool`): every shard payload is
@@ -159,7 +160,7 @@ def verify_worker(worker: Callable[..., Any]) -> None:
         )
     try:
         pickle.dumps(worker)
-    except Exception as exc:  # repro-lint: allow — pickle raises arbitrary types
+    except Exception as exc:  # repro: allow[REPRO001] pickle raises arbitrary types
         raise DeterminismError(
             f"dsan: worker {qualname or worker!r} cannot be pickled across "
             f"the process boundary: {exc} (DET021)"
@@ -177,7 +178,7 @@ def verify_payload(payload: Any, index: int) -> None:
     try:
         blob = pickle.dumps(payload)
         pickle.loads(blob)
-    except Exception as exc:  # repro-lint: allow — pickle raises arbitrary types
+    except Exception as exc:  # repro: allow[REPRO001] pickle raises arbitrary types
         raise DeterminismError(
             f"dsan: shard payload #{index} does not survive a pickle "
             f"round-trip: {exc}; shard payloads must be plain picklable "

@@ -57,18 +57,10 @@ class TelemetryError(SemsimError):
 
 
 class SanitizerError(SemsimError):
-    """Raised for misuse of the determinism sanitizer itself (missing
-    scan roots, unreadable or unparseable source files) — never for
-    findings, which are reported as :class:`repro.dsan.Finding`
-    records."""
-
-
-class ContractError(SemsimError):
-    """Raised when an :func:`repro.static.array_contract` specification
-    string cannot be parsed (bad shape grammar, unknown dtype, unknown
-    memory-order flag) or names a parameter the function does not have.
-    Raised at decoration time, so a malformed contract fails the module
-    import rather than silently weakening the ARR pass."""
+    """Raised for misuse of ``repro check`` itself (missing scan roots,
+    unreadable or unparseable source files, unknown pass names or code
+    prefixes) — never for findings, which are reported as
+    :class:`repro.static.Diagnostic` records."""
 
 
 class RecoveryError(SimulationError):

@@ -69,7 +69,7 @@ class LogUniform:
     def draw(self, rng: np.random.Generator) -> float:
         # the argument is bounded by [log(low), log(high)] by construction
         return float(
-            math.exp(rng.uniform(math.log(self.low), math.log(self.high)))  # repro: allow[NUM001]
+            math.exp(rng.uniform(math.log(self.low), math.log(self.high)))
         )
 
     def contains(self, value: Value) -> bool:

@@ -28,7 +28,6 @@ from repro.constants import E_CHARGE
 from repro.errors import SimulationError
 from repro.master.transitions import Transition, enumerate_transitions
 from repro.physics.rates import TunnelingModel
-from repro.static import units
 
 
 @dataclasses.dataclass
@@ -63,7 +62,6 @@ class MasterEquationSolver:
         Safety bound on ``|n_i|`` per island during exploration.
     """
 
-    @units("temperature: K, cooper_linewidth: J, cotunneling_energy_floor: J")
     def __init__(
         self,
         circuit: Circuit,
@@ -195,7 +193,6 @@ class MasterEquationSolver:
         return MasterEquationResult(states, probabilities, currents)
 
     # ------------------------------------------------------------------
-    @units("-> A")
     def current(
         self,
         junction: int,
@@ -207,7 +204,6 @@ class MasterEquationSolver:
         return orientation * float(result.junction_currents[junction])
 
     # ------------------------------------------------------------------
-    @units("times: s")
     def transient(
         self,
         times: np.ndarray,

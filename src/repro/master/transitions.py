@@ -14,7 +14,6 @@ from repro.circuit.electrostatics import Electrostatics
 from repro.circuit.junction_table import JunctionTable
 from repro.constants import E_CHARGE
 from repro.physics.rates import TunnelingModel
-from repro.static import array_contract, units
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,7 +32,6 @@ class Transition:
     flux: tuple[tuple[int, int], ...]
     dw: float
 
-    @array_contract(occupation="(n_islands,) int64", out="(n_islands,) int64")
     def apply(self, occupation: np.ndarray) -> np.ndarray:
         new = occupation.copy()
         for island, delta in self.d_occupation:
@@ -50,8 +48,6 @@ def _transfer(ref_a, ref_b, n_electrons: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(changes.items()))
 
 
-@units("occupation: 1, vext: V")
-@array_contract(occupation="(n_islands,) int64", vext="(n_external,) float64")
 def enumerate_transitions(
     stat: Electrostatics,
     table: JunctionTable,

@@ -209,7 +209,7 @@ def _run_inline(
                 if spec is not None:
                     _faults.perform(spec, inline=True)
                 value = worker(items[index])
-            except Exception as exc:  # repro-lint: allow — any worker exception feeds the retry policy
+            except Exception as exc:  # repro: allow[REPRO001] any worker exception feeds the retry policy
                 if policy.retry_raised and attempt < policy.max_attempts:
                     retried += 1
                     if mon is not None:
@@ -349,7 +349,7 @@ def _run_pooled(
                 except concurrent.futures.CancelledError:
                     attempts[index] -= 1
                     queue.append(index)
-                except Exception as exc:  # repro-lint: allow — any worker exception feeds the retry policy
+                except Exception as exc:  # repro: allow[REPRO001] any worker exception feeds the retry policy
                     if policy.retry_raised and attempts[index] < policy.max_attempts:
                         retried += 1
                         if mon is not None:

@@ -22,7 +22,6 @@ from scipy import integrate, optimize
 
 from repro.constants import BCS_RATIO
 from repro.errors import PhysicsError
-from repro.static import units
 
 
 def _gap_equation_residual(u: float, tau: float) -> float:
@@ -64,7 +63,6 @@ def _universal_gap_table(n_points: int = 200) -> tuple[np.ndarray, np.ndarray]:
     return ts, deltas
 
 
-@units("temperature: K, delta0: J, tc: K -> J")
 def bcs_gap(temperature: float, delta0: float, tc: float, method: str = "selfconsistent") -> float:
     """Gap ``Delta(T)`` in joules.
 
@@ -98,7 +96,6 @@ def bcs_gap(temperature: float, delta0: float, tc: float, method: str = "selfcon
     return delta0 * float(np.interp(t, ts, deltas))
 
 
-@units("energy: J, delta: J -> 1")
 def reduced_dos(energy, delta: float):
     """BCS reduced density of states of Eq. 4.
 

@@ -31,13 +31,11 @@ import numpy as np
 
 from repro.constants import E_CHARGE, H_PLANCK, HBAR, K_B, R_QUANTUM
 from repro.errors import PhysicsError
-from repro.static import units
 
 #: Default linewidth as a fraction of the gap when not provided.
 DEFAULT_LINEWIDTH_FRACTION = 0.02
 
 
-@units("resistance: ohm, delta: J, temperature: K -> J")
 def josephson_energy(resistance: float, delta: float, temperature: float) -> float:
     """Ambegaokar-Baratoff Josephson energy ``E_J(T)`` in joules."""
     if resistance <= 0.0:
@@ -52,7 +50,6 @@ def josephson_energy(resistance: float, delta: float, temperature: float) -> flo
     return ej0 * math.tanh(delta / (2.0 * K_B * temperature))
 
 
-@units("resistance: ohm, josephson: J, charging: J")
 def validate_regime(resistance: float, josephson: float, charging: float) -> None:
     """Check the model's validity assumptions (Sec. III-A).
 
@@ -72,7 +69,6 @@ def validate_regime(resistance: float, josephson: float, charging: float) -> Non
         )
 
 
-@units("dw: J, josephson: J, linewidth: J -> 1/s")
 def cooper_pair_rate(dw, josephson: float, linewidth: float):
     """Incoherent Cooper-pair tunneling rate (1/s).
 
@@ -94,7 +90,6 @@ def cooper_pair_rate(dw, josephson: float, linewidth: float):
     return rate if rate.ndim else float(rate)
 
 
-@units("delta: J, temperature: K -> J")
 def default_linewidth(delta: float, temperature: float = 0.0) -> float:
     """Default linewidth energy.
 

@@ -38,7 +38,6 @@ from repro.circuit.components import NodeKind, NodeRef
 from repro.constants import E_CHARGE, HBAR, K_B
 from repro.errors import PhysicsError
 from repro.physics.fermi import bose_weight
-from repro.static import array_contract, units
 
 #: Floor on virtual-state energies as a fraction of e^2/(2 C_typical).
 FLOOR_FRACTION = 0.05
@@ -114,9 +113,6 @@ def _island_ref(island: int) -> NodeRef:
     return NodeRef(NodeKind.ISLAND, island)
 
 
-@units("dw_total: J, e_virtual_1: J, e_virtual_2: J, resistance_1: ohm, "
-       "resistance_2: ohm, temperature: K, energy_floor: J -> 1/s")
-@array_contract(dw_total="() float64", out="() float64")
 def cotunneling_rate(
     dw_total: float,
     e_virtual_1: float,
@@ -147,7 +143,6 @@ def cotunneling_rate(
     return prefactor * virtual * window * thermal
 
 
-@units("temperature: K, charging_scale: J -> J")
 def default_energy_floor(temperature: float, charging_scale: float) -> float:
     """Regularisation floor for virtual energies.
 
@@ -159,8 +154,6 @@ def default_energy_floor(temperature: float, charging_scale: float) -> float:
     return max(K_B * temperature, FLOOR_FRACTION * charging_scale)
 
 
-@units("voltage: V, e_virtual_1: J, e_virtual_2: J, resistance_1: ohm, "
-       "resistance_2: ohm -> A")
 def cotunneling_current_t0(
     voltage: float,
     e_virtual_1: float,

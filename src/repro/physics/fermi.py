@@ -6,10 +6,8 @@ import numpy as np
 
 from repro.constants import K_B
 from repro.errors import PhysicsError
-from repro.static import units
 
 
-@units("energy: J, temperature: K -> 1")
 def fermi(energy, temperature: float):
     """Fermi-Dirac occupation ``f(E) = 1 / (exp(E/kT) + 1)``.
 
@@ -29,7 +27,6 @@ def fermi(energy, temperature: float):
     return out if out.ndim else float(out)
 
 
-@units("energy: J, temperature: K -> J")
 def bose_weight(energy, temperature: float):
     """The detailed-balance weight ``x / (exp(x/kT) - 1)`` with ``x`` in J.
 

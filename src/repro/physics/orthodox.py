@@ -19,11 +19,8 @@ import numpy as np
 from repro.constants import E_CHARGE
 from repro.errors import PhysicsError
 from repro.physics.fermi import bose_weight
-from repro.static import array_contract, hot, units
 
 
-@units("delta_w: J, resistance: ohm, temperature: K -> 1/s")
-@array_contract(delta_w="any float64", out="any float64")
 def orthodox_rate(delta_w, resistance: float, temperature: float):
     """Sequential tunneling rate in 1/s for one junction.
 
@@ -44,14 +41,6 @@ def orthodox_rate(delta_w, resistance: float, temperature: float):
     return weight / (E_CHARGE * E_CHARGE * resistance)
 
 
-@hot
-@units("delta_w_forward: J, delta_w_backward: J, resistances: ohm, "
-       "temperature: K -> 1/s")
-@array_contract(
-    delta_w_forward="(n_junctions,) float64",
-    delta_w_backward="(n_junctions,) float64",
-    resistances="(n_junctions,) float64",
-)
 def orthodox_rates_both(delta_w_forward, delta_w_backward, resistances, temperature):
     """Vectorised forward/backward rates for arrays of junctions."""
     resistances = np.asarray(resistances, dtype=float)
@@ -62,7 +51,6 @@ def orthodox_rates_both(delta_w_forward, delta_w_backward, resistances, temperat
     )
 
 
-@units("total_capacitance: F -> V")
 def threshold_voltage(total_capacitance: float) -> float:
     """Zero-temperature Coulomb-blockade onset ``e / C_sigma`` for a
     symmetrically biased SET at a blockade maximum.

@@ -34,7 +34,6 @@ from repro.errors import PhysicsError
 from repro.physics.bcs import reduced_dos
 from repro.physics.fermi import fermi
 from repro.physics.orthodox import orthodox_rate
-from repro.static import array_contract, hot, units
 
 #: Gauss-Legendre order used on every integration (sub)segment.
 _GL_ORDER = 64
@@ -43,8 +42,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _THERMAL_WINDOW = 45.0
 
 
-@units("e: J, dw: J, delta1: J, delta2: J, temperature: K -> 1")
-@array_contract(e="any float64", out="any float64")
 def _integrand(e: np.ndarray, dw: float, delta1: float, delta2: float,
                temperature: float) -> np.ndarray:
     rho = reduced_dos(e, delta1) * reduced_dos(e - dw, delta2)
@@ -74,8 +71,6 @@ def _sqrt_segment(edge: float, other: float, func) -> float:
     return 0.5 * float(np.sum(_GL_WEIGHTS * values))
 
 
-@units("dw: J, resistance: ohm, delta1: J, delta2: J, temperature: K -> 1/s")
-@array_contract(dw="() float64", out="() float64")
 def qp_rate(dw: float, resistance: float, delta1: float, delta2: float,
             temperature: float) -> float:
     """Quasi-particle tunneling rate (1/s) for free-energy change ``dw``.
@@ -127,8 +122,6 @@ def qp_rate(dw: float, resistance: float, delta1: float, delta2: float,
     return total / (E_CHARGE * E_CHARGE * resistance)
 
 
-@units("voltage: V, resistance: ohm, delta1: J, delta2: J, "
-       "temperature: K -> A")
 def qp_current(voltage: float, resistance: float, delta1: float, delta2: float,
                temperature: float) -> float:
     """Quasi-particle I-V of a single voltage-biased junction (Eq. 3).
@@ -151,8 +144,6 @@ class QuasiparticleRateTable:
     far above), which the tests check against direct quadrature.
     """
 
-    @units("resistance: ohm, delta1: J, delta2: J, temperature: K, "
-           "dw_max: J")
     def __init__(
         self,
         resistance: float,
@@ -185,9 +176,6 @@ class QuasiparticleRateTable:
             self._rates[0] / edge_ohmic if edge_ohmic > 0.0 else 1.0
         )
 
-    @hot
-    @units("dw: J -> 1/s")
-    @array_contract(dw="any float64", out="any float64")
     def __call__(self, dw):
         """Interpolated rate; accepts scalars or arrays."""
         dw_arr = np.asarray(dw, dtype=float)

@@ -36,7 +36,6 @@ from repro.physics.cotunneling import (
 )
 from repro.physics.orthodox import orthodox_rate, orthodox_rates_both
 from repro.physics.quasiparticle import QuasiparticleRateTable
-from repro.static import array_contract, hot, units
 
 
 class TunnelingModel:
@@ -62,7 +61,6 @@ class TunnelingModel:
         Resolution of the quasi-particle rate tables.
     """
 
-    @units("temperature: K, cooper_linewidth: J, cotunneling_energy_floor: J")
     def __init__(
         self,
         circuit: Circuit,
@@ -155,7 +153,6 @@ class TunnelingModel:
             )
 
     # ------------------------------------------------------------------
-    @units("-> J")
     def _qp_table_span(self) -> float:
         """Free-energy span the quasi-particle tables must cover.
 
@@ -169,12 +166,6 @@ class TunnelingModel:
     # ------------------------------------------------------------------
     # rate queries
     # ------------------------------------------------------------------
-    @hot
-    @units("dw_forward: J, dw_backward: J -> 1/s")
-    @array_contract(
-        dw_forward="(n_junctions,) float64",
-        dw_backward="(n_junctions,) float64",
-    )
     def sequential_rates(
         self, dw_forward: np.ndarray, dw_backward: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +182,6 @@ class TunnelingModel:
             bwd[i] = table(dw_backward[i])
         return fwd, bwd
 
-    @units("dw: J -> 1/s")
     def sequential_rate_single(self, junction: int, dw: float) -> float:
         """Single-electron rate for one junction and one direction."""
         if not self.superconducting:
@@ -199,12 +189,6 @@ class TunnelingModel:
             return float(orthodox_rate(dw, resistance, self.temperature))
         return float(self._qp_tables[junction](dw))
 
-    @hot
-    @units("dw_forward: J, dw_backward: J -> 1/s")
-    @array_contract(
-        dw_forward="(n_junctions,) float64",
-        dw_backward="(n_junctions,) float64",
-    )
     def cooper_pair_rates(
         self, dw_forward: np.ndarray, dw_backward: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +201,6 @@ class TunnelingModel:
         ej2 = self.josephson * self.josephson
         return fwd * ej2, bwd * ej2
 
-    @units("dw_total: J, e_virtual_1: J, e_virtual_2: J -> 1/s")
     def cotunneling_rate_for_path(
         self, path: CotunnelingPath, dw_total: float, e_virtual_1: float,
         e_virtual_2: float,

@@ -83,7 +83,7 @@ def fingerprint_run(worker: Callable[..., Any], payloads: list[Any]) -> str:
     for payload in payloads:
         try:
             raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # repro-lint: allow — pickle raises arbitrary types
+        except Exception as exc:  # repro: allow[REPRO001] pickle raises arbitrary types
             raise RecoveryError(
                 f"cannot fingerprint shard payload for checkpointing: {exc}"
             ) from exc
@@ -104,7 +104,7 @@ def encode_result(result: Any) -> tuple[str, str]:
     """Pickle ``result``; return ``(base64 payload, checksum)``."""
     try:
         raw = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:  # repro-lint: allow — pickle raises arbitrary types
+    except Exception as exc:  # repro: allow[REPRO001] pickle raises arbitrary types
         raise RecoveryError(
             f"shard result of type {type(result).__name__} cannot be "
             f"checkpointed: {exc}"
@@ -127,7 +127,7 @@ def decode_result(payload: str, checksum: str, shard: int) -> Any:
         )
     try:
         return pickle.loads(raw)
-    except Exception as exc:  # repro-lint: allow — pickle raises arbitrary types
+    except Exception as exc:  # repro: allow[REPRO001] pickle raises arbitrary types
         raise RecoveryError(
             f"checkpoint record #{shard} cannot be unpickled: {exc}", shard=shard
         ) from exc

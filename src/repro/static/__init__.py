@@ -1,128 +1,47 @@
-"""Unified static-analysis framework (``repro check``).
+"""Static analysis of the simulator sources (``repro check``).
 
-One core hosts every source-level gate of the repository: file
-loading/caching (:mod:`repro.static.source`), waiver-aware AST rule
-visitors (:mod:`repro.static.visitors`), the cross-module call graph
-promoted from the determinism sanitizer
-(:mod:`repro.static.callgraph`), a single :class:`Diagnostic` model
-with stable codes and severities (:mod:`repro.static.model`) and
-text/JSON/SARIF emitters (:mod:`repro.static.emit`).
+One core hosts both source-level gates of the repository: file
+loading and parse caching (:mod:`repro.static.source`), waiver-aware
+AST rule visitors (:mod:`repro.static.visitors`), the cross-module
+call graph (:mod:`repro.static.callgraph`), a single
+:class:`Diagnostic` model with stable codes and severities
+(:mod:`repro.static.model`) and text/JSON/SARIF emitters
+(:mod:`repro.static.emit`).
 
-Six rule families run on the core:
+Two rule families run on the core (:mod:`repro.static.engine`):
 
-* ``REPRO00x`` repository style rules (:mod:`repro.static.repo`,
-  historically ``tools/check_source.py``);
-* ``DET0xx`` determinism rules (:mod:`repro.dsan.rules`, still served
-  by ``repro sanitize``);
-* ``ARR0xx`` array-kernel correctness — an intraprocedural abstract
-  interpreter tracking symbolic numpy shape/dtype facts through
-  kernels annotated with :func:`array_contract`
-  (:mod:`repro.static.arr`);
-* ``PERF0xx`` hot-loop hygiene over kernels marked :func:`hot` or
-  :func:`lowerable` (:mod:`repro.static.perf`);
-* ``NUM0xx`` numerical stability — overflow-prone ``exp``,
-  cancellation shapes, float32 accumulation, with recognisers for the
-  repo's own guard idioms (:mod:`repro.static.numstab`);
-* ``UNIT0xx`` dimensional analysis — an interprocedural abstract
-  interpreter over an SI dimension lattice, driven by
-  :func:`units` contracts and callgraph-ordered function summaries
-  (:mod:`repro.static.unitcheck`, scheduled by
-  :mod:`repro.static.summaries`).
+* ``REPRO00x`` repository style rules (:mod:`repro.static.repo`);
+* ``DET0xx`` determinism rules (:mod:`repro.static.det`), which back
+  the pool's contract that results are bit-identical for any worker
+  count.
 
 A finding is waived for one line with a trailing ``# repro:
-allow[CODE] justification`` comment (the legacy ``# dsan: allow[...]``
-and blanket ``# repro-lint: allow`` forms stay honoured); waivers that
-suppress nothing are themselves reported as ``W000``.
-
-The contract decorators (:func:`array_contract`, :func:`hot`,
-:func:`lowerable`, :func:`units`) are zero-cost at runtime — they only
-attach parsed metadata — so kernels import them freely.  Everything else in this
-package is loaded lazily (PEP 562) to keep kernel import time flat.
+allow[CODE] justification`` comment; waivers that suppress nothing
+are themselves reported as ``W000``.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.static.contracts import (
-    ArrayContract,
-    ArraySpec,
-    array_contract,
-    hot,
-    lowerable,
-    parse_spec,
-    units,
+from repro.static.emit import code_table, report_as_json, report_as_sarif
+from repro.static.engine import PASS_NAMES, check_paths, default_root
+from repro.static.model import (
+    STATIC_CODES,
+    Diagnostic,
+    Severity,
+    StaticCode,
+    StaticReport,
 )
-from repro.static.dimensions import (
-    Dimension,
-    UnitContract,
-    format_dimension,
-    parse_unit,
-    parse_units_spec,
-)
-
-#: Analysis-side names resolved lazily (PEP 562): the engine pulls in
-#: the DET rules and the shared ``Severity`` from :mod:`repro.lint`,
-#: whose package import is far too heavy for kernel modules that only
-#: want the contract decorators above.
-_LAZY_EXPORTS = {
-    "Diagnostic": "repro.static.model",
-    "Severity": "repro.static.model",
-    "StaticCode": "repro.static.model",
-    "StaticReport": "repro.static.model",
-    "STATIC_CODES": "repro.static.model",
-    "check_paths": "repro.static.engine",
-    "default_root": "repro.static.engine",
-    "load_baseline": "repro.static.engine",
-    "write_baseline": "repro.static.engine",
-    "PASS_NAMES": "repro.static.engine",
-    "StaticCache": "repro.static.summaries",
-    "default_static_cache_root": "repro.static.summaries",
-    "run_units": "repro.static.summaries",
-    "code_table": "repro.static.emit",
-    "report_as_json": "repro.static.emit",
-    "report_as_sarif": "repro.static.emit",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        # repro-lint: allow — PEP 562 requires AttributeError here;
-        # anything else breaks hasattr()/getattr() on the package
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
 
 __all__ = [
-    "ArrayContract",
-    "ArraySpec",
     "Diagnostic",
-    "Dimension",
     "PASS_NAMES",
     "STATIC_CODES",
     "Severity",
-    "StaticCache",
     "StaticCode",
     "StaticReport",
-    "UnitContract",
-    "array_contract",
     "check_paths",
     "code_table",
     "default_root",
-    "default_static_cache_root",
-    "format_dimension",
-    "hot",
-    "load_baseline",
-    "lowerable",
-    "parse_spec",
-    "parse_unit",
-    "parse_units_spec",
     "report_as_json",
     "report_as_sarif",
-    "run_units",
-    "units",
-    "write_baseline",
 ]

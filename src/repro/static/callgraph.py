@@ -9,16 +9,11 @@ over-approximate graph keyed by *bare* function name (``measure`` and
 ``Foo.measure`` collide), which errs toward flagging.  False positives
 are waived per line with a justification, which is exactly the audit
 trail the determinism contract wants.
-
-Promoted from ``repro.dsan.callgraph`` into the shared static core so
-future cross-module rules (and the engine's context object) can reuse
-one graph per run instead of each pass rebuilding its own.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
 
 from repro.static.source import ModuleSource
 from repro.static.visitors import call_name, last_attr
@@ -31,205 +26,63 @@ POOL_SUBMISSION_CALLS = frozenset({"execute_shards"})
 IMPLICIT_WORKER_ENTRIES = frozenset({"_shard_entry"})
 
 
-@dataclasses.dataclass(frozen=True)
-class FunctionNode:
-    """One function or method definition in the scanned set."""
-
-    relpath: str
-    qualname: str
-    name: str
-    lineno: int
-    node: ast.AST
-
-
 class CallGraph:
-    """Name-keyed call graph over a set of parsed modules.
-
-    Besides the function-level facts the DET rules consume, the graph
-    condenses to a *module* dependency graph for the summary engine:
-    module A depends on module B when A calls a bare name that B
-    defines (as a function, or as a class — constructor calls resolve
-    to the class's ``__init__`` summary).  :meth:`module_sccs` orders
-    the modules dependencies-first with cycles collapsed, which is the
-    schedule for callgraph-ordered summary computation, and
-    :meth:`dependents_of` is the reverse closure behind ``repro check
-    --changed`` and transitive cache invalidation.
-    """
+    """Name-keyed call graph over a set of parsed modules."""
 
     def __init__(self, modules: list[ModuleSource]):
-        #: bare name -> definitions sharing it
-        self.definitions: dict[str, list[FunctionNode]] = {}
-        #: bare caller name -> bare callee names
+        #: bare caller name -> bare callee names; its keys are every
+        #: function or method defined in the scanned set
         self.calls: dict[str, set[str]] = {}
         #: bare names of functions passed to a pool submission call
         self.worker_entries: set[str] = set()
-        #: relpath -> bare names this module defines at any level
-        #: (functions *and* classes: summary providers)
-        self.provides: dict[str, set[str]] = {}
-        #: relpath -> bare names called anywhere in the module
-        self.module_calls: dict[str, set[str]] = {}
-        self.relpaths: list[str] = [m.relpath for m in modules]
         for module in modules:
             self._scan_module(module)
-        self.worker_entries |= IMPLICIT_WORKER_ENTRIES & set(self.definitions)
-        #: bare name -> relpaths providing a definition of it
-        self._providers: dict[str, list[str]] = {}
-        for relpath, names in self.provides.items():
-            for name in names:
-                self._providers.setdefault(name, []).append(relpath)
+        self.worker_entries |= IMPLICIT_WORKER_ENTRIES & set(self.calls)
 
     # ------------------------------------------------------------------
     def _scan_module(self, module: ModuleSource) -> None:
-        """One walk per module: definitions, per-function call edges,
-        module-wide called names and pool submissions all in a single
-        traversal (this is the hot loop of ``load_context``)."""
-        provides = self.provides.setdefault(module.relpath, set())
-        called = self.module_calls.setdefault(module.relpath, set())
-        # (node, qualname prefix, innermost enclosing function name)
-        stack: list[tuple[ast.AST, str, str | None]] = [
-            (module.tree, "", None)
-        ]
+        """One walk per module: definitions, per-function call edges and
+        pool submissions in a single traversal."""
+        # (node, innermost enclosing function name)
+        stack: list[tuple[ast.AST, str | None]] = [(module.tree, None)]
         while stack:
-            node, prefix, func = stack.pop()
+            node, func = stack.pop()
             for child in ast.iter_child_nodes(node):
                 if isinstance(
                     child, (ast.FunctionDef, ast.AsyncFunctionDef)
                 ):
-                    qualname = f"{prefix}{child.name}"
-                    self.definitions.setdefault(child.name, []).append(
-                        FunctionNode(
-                            relpath=module.relpath,
-                            qualname=qualname,
-                            name=child.name,
-                            lineno=child.lineno,
-                            node=child,
-                        )
-                    )
-                    provides.add(child.name)
                     self.calls.setdefault(child.name, set())
-                    stack.append(
-                        (child, f"{qualname}.<locals>.", child.name)
-                    )
+                    stack.append((child, child.name))
                     continue
-                if isinstance(child, ast.ClassDef):
-                    provides.add(child.name)
-                    stack.append((child, f"{prefix}{child.name}.", None))
-                    continue
-                if isinstance(child, ast.Lambda):
-                    # calls inside a lambda belong to no named function
-                    stack.append((child, prefix, None))
+                if isinstance(child, (ast.ClassDef, ast.Lambda)):
+                    # calls directly in a class body or inside a lambda
+                    # belong to no named function
+                    stack.append((child, None))
                     continue
                 if isinstance(child, ast.Call):
                     name = call_name(child)
                     if name is not None:
                         bare = last_attr(name)
-                        called.add(bare)
                         if func is not None:
                             self.calls[func].add(bare)
                         if bare in POOL_SUBMISSION_CALLS and child.args:
                             entry = _callable_bare_name(child.args[0])
                             if entry is not None:
                                 self.worker_entries.add(entry)
-                stack.append((child, prefix, func))
-
-    # ------------------------------------------------------------------
-    # module dependency graph (summary engine schedule)
-    # ------------------------------------------------------------------
-
-    def providers_of(self, name: str) -> list[str]:
-        """Relpaths of modules defining ``name`` (function or class)."""
-        return self._providers.get(name, [])
-
-    def module_deps(self) -> dict[str, set[str]]:
-        """Relpath -> relpaths it depends on (self-edges dropped)."""
-        deps: dict[str, set[str]] = {}
-        for relpath in self.relpaths:
-            wanted: set[str] = set()
-            for name in self.module_calls.get(relpath, ()):
-                wanted.update(self._providers.get(name, ()))
-            wanted.discard(relpath)
-            deps[relpath] = wanted
-        return deps
-
-    def module_sccs(self) -> list[tuple[str, ...]]:
-        """Strongly connected components of the module graph, ordered
-        dependencies-first (Tarjan, iterative)."""
-        deps = self.module_deps()
-        index: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        sccs: list[tuple[str, ...]] = []
-        counter = 0
-        for start in self.relpaths:
-            if start in index:
-                continue
-            # iterative Tarjan: (node, iterator over successors)
-            work = [(start, iter(sorted(deps.get(start, ()))))]
-            index[start] = lowlink[start] = counter
-            counter += 1
-            stack.append(start)
-            on_stack.add(start)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                for succ in successors:
-                    if succ not in index:
-                        index[succ] = lowlink[succ] = counter
-                        counter += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(sorted(deps.get(succ, ())))))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        lowlink[node] = min(lowlink[node], index[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    component: list[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    sccs.append(tuple(sorted(component)))
-        return sccs
-
-    def dependents_of(self, changed: set[str]) -> set[str]:
-        """``changed`` plus every module transitively depending on one
-        of them — the re-analysis set after an edit."""
-        reverse: dict[str, set[str]] = {r: set() for r in self.relpaths}
-        for relpath, wanted in self.module_deps().items():
-            for dep in wanted:
-                reverse.setdefault(dep, set()).add(relpath)
-        seen = set(changed) & set(self.relpaths)
-        frontier = list(seen)
-        while frontier:
-            current = frontier.pop()
-            for dependent in reverse.get(current, ()):
-                if dependent not in seen:
-                    seen.add(dependent)
-                    frontier.append(dependent)
-        return seen
+                stack.append((child, func))
 
     # ------------------------------------------------------------------
     def worker_reachable(self) -> frozenset[str]:
         """Bare names of every function reachable from a worker entry."""
         seen: set[str] = set()
-        frontier = [e for e in self.worker_entries if e in self.definitions]
+        frontier = [e for e in self.worker_entries if e in self.calls]
         while frontier:
             name = frontier.pop()
             if name in seen:
                 continue
             seen.add(name)
             for callee in self.calls.get(name, ()):
-                if callee in self.definitions and callee not in seen:
+                if callee in self.calls and callee not in seen:
                     frontier.append(callee)
         return frozenset(seen)
 
@@ -250,7 +103,7 @@ class CallGraph:
             return None
         seen.add(current)
         for callee in sorted(self.calls.get(current, ())):
-            if callee not in self.definitions:
+            if callee not in self.calls:
                 continue
             found = self._search(callee, target, path + [callee], seen)
             if found is not None:

@@ -17,10 +17,7 @@ from repro.static.model import STATIC_CODES, StaticReport
 __all__ = ["code_table", "report_as_json", "report_as_sarif"]
 
 #: Order the domains render in — mirrors pass execution order.
-_DOMAIN_ORDER = (
-    "repository", "determinism", "array", "performance", "numerics",
-    "units", "framework",
-)
+_DOMAIN_ORDER = ("repository", "determinism", "framework")
 
 
 def code_table() -> str:
@@ -53,7 +50,6 @@ def report_as_json(report: StaticReport) -> str:
         {
             "files_scanned": report.files_scanned,
             "findings": [f.as_dict() for f in report.findings],
-            "baselined": [f.as_dict() for f in report.baselined],
             "summary": report.summary(),
             "exit_code": report.exit_code,
         },
@@ -95,14 +91,11 @@ def report_as_sarif(report: StaticReport) -> str:
         )
     results = []
     for f in report.findings:
-        message = f.message
-        if f.witness:
-            message += f" ({' -> '.join(f.witness)})"
         results.append(
             {
                 "ruleId": f.code,
                 "level": _SARIF_LEVELS[f.severity],
-                "message": {"text": message},
+                "message": {"text": f.message},
                 "locations": [
                     {
                         "physicalLocation": {

@@ -9,141 +9,28 @@ that suppressed nothing are reported as ``W000``.
 
 Passes (run in this order):
 
-========  =============================================  ============
-name      rules                                          module
-========  =============================================  ============
-repo      ``REPRO001-004`` repository style              repro.static.repo
-det       ``DET0xx`` determinism                         repro.dsan.rules
-arr       ``ARR0xx`` array-kernel abstract interpreter   repro.static.arr
-perf      ``PERF0xx`` hot-loop hygiene                   repro.static.perf
-num       ``NUM0xx`` numerical stability                 repro.static.numstab
-units     ``UNIT0xx`` dimensional analysis               repro.static.unitcheck
-========  =============================================  ============
-
-All but ``units`` are per-module; ``units`` is interprocedural and
-scheduled over the module SCC condensation by
-:mod:`repro.static.summaries`, which also hosts the incremental
-on-disk cache (``cache_dir``) and the ``--jobs`` fan-out both phases
-share.  ``changed`` narrows the *reported* set to the dependency
-closure of the given files — the ``--changed`` pre-commit path.
+========  =====================================  =================
+name      rules                                  module
+========  =====================================  =================
+repo      ``REPRO001-004`` repository style      repro.static.repo
+det       ``DET0xx`` determinism                 repro.static.det
+========  =====================================  =================
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
-import multiprocessing
-import os
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
 
-from repro.dsan.diagnostics import DET_CODES
 from repro.errors import SanitizerError
-from repro.static.arr import arr_pass
 from repro.static.callgraph import CallGraph
-from repro.static.model import (
-    Diagnostic,
-    StaticCode,
-    StaticReport,
-    diagnostic,
-    register_codes,
-)
-from repro.static.numstab import numstab_pass
-from repro.static.perf import perf_pass
+from repro.static.det import det_pass
+from repro.static.model import STATIC_CODES, Diagnostic, StaticReport, diagnostic
 from repro.static.repo import repo_pass
 from repro.static.source import GLOBAL_CACHE, ModuleSource, iter_python_files
-from repro.static.summaries import (
-    ANALYSIS_VERSION,
-    StaticCache,
-    cell_id,
-    finding_from_json,
-    finding_to_json,
-    run_units,
-    set_pool_modules,
-)
 from repro.static.waivers import WaiverIndex
 
-# the DET vocabulary lives in repro.dsan.diagnostics (its historical
-# home, still the `repro sanitize` surface); mirror it into the
-# unified registry so every emitter sees one vocabulary
-register_codes(*(
-    StaticCode(info.code, info.severity, info.title, info.fix,
-               domain="determinism")
-    for info in DET_CODES.values()
-))
-
-
-@dataclasses.dataclass
-class AnalysisContext:
-    """Cross-module facts shared by all passes of one run."""
-
-    modules: list[ModuleSource]
-    graph: CallGraph
-    reachable: frozenset[str]
-
-
-def _det_pass(module: ModuleSource, windex: WaiverIndex,
-              ctx: AnalysisContext) -> list[Diagnostic]:
-    from repro.dsan.rules import module_rules
-
-    findings: list[Diagnostic] = []
-    for rule in module_rules(module, windex, ctx.graph, ctx.reachable):
-        rule.visit(module.tree)
-        for lineno, code, message in rule.raw_reports:
-            findings.append(
-                diagnostic(
-                    code, message,
-                    path=str(module.path), line=lineno,
-                    relpath=module.relpath,
-                )
-            )
-    return findings
-
-
-def _repo_pass(module: ModuleSource, windex: WaiverIndex,
-               ctx: AnalysisContext) -> list[Diagnostic]:
-    del ctx
-    return repo_pass(module, windex)
-
-
-def _arr_pass(module: ModuleSource, windex: WaiverIndex,
-              ctx: AnalysisContext) -> list[Diagnostic]:
-    del ctx
-    return arr_pass(module, windex)
-
-
-def _perf_pass(module: ModuleSource, windex: WaiverIndex,
-               ctx: AnalysisContext) -> list[Diagnostic]:
-    del ctx
-    return perf_pass(module, windex)
-
-
-def _num_pass(module: ModuleSource, windex: WaiverIndex,
-              ctx: AnalysisContext) -> list[Diagnostic]:
-    del ctx
-    return numstab_pass(module, windex)
-
-
-PassFn = Callable[[ModuleSource, WaiverIndex, AnalysisContext],
-                  list[Diagnostic]]
-
-#: Registered per-module passes, in execution order.
-PASSES: dict[str, PassFn] = {
-    "repo": _repo_pass,
-    "det": _det_pass,
-    "arr": _arr_pass,
-    "perf": _perf_pass,
-    "num": _num_pass,
-}
-
-#: Passes whose findings depend only on the module's own text — one
-#: shared cache sub-entry covers them all.
-_LOCAL_PASSES = ("repo", "arr", "perf", "num")
-
-#: Every selectable pass name (``units`` is interprocedural, driven by
-#: :mod:`repro.static.summaries` rather than the per-module loop).
-PASS_NAMES: tuple[str, ...] = (*PASSES, "units")
+#: Every selectable pass name, in execution order.
+PASS_NAMES: tuple[str, ...] = ("repo", "det")
 
 
 def default_root() -> Path:
@@ -151,125 +38,21 @@ def default_root() -> Path:
     return Path(__file__).resolve().parent.parent
 
 
-def load_context(
+def load_modules(
     roots: list[Path] | None = None,
     *,
     relative_to: Path | None = None,
-) -> AnalysisContext:
-    """Parse the scan set once and build the cross-module facts."""
+) -> list[ModuleSource]:
+    """Parse the scan set once (default: the ``repro`` package)."""
     if not roots:
         roots = [default_root()]
     scan_root = relative_to
     if scan_root is None:
         scan_root = roots[0] if roots[0].is_dir() else roots[0].parent
-    modules = [
+    return [
         GLOBAL_CACHE.load(path, root=scan_root)
         for path in iter_python_files(roots)
     ]
-    graph = CallGraph(modules)
-    return AnalysisContext(
-        modules=modules, graph=graph, reachable=graph.worker_reachable()
-    )
-
-
-# ----------------------------------------------------------------------
-# per-module phase (with fork-pool worker)
-# ----------------------------------------------------------------------
-
-def _run_module_passes(
-    module: ModuleSource,
-    ctx: AnalysisContext,
-    local_names: tuple[str, ...],
-    run_det: bool,
-) -> tuple[list[Diagnostic], set[int], list[Diagnostic], set[int]]:
-    """One module through the selected per-module passes; returns
-    (local findings, local used-waiver linenos, det findings, det
-    used-waiver linenos) — the two cache sub-entries."""
-    windex = WaiverIndex(module)
-    local: list[Diagnostic] = []
-    for name in local_names:
-        local.extend(PASSES[name](module, windex, ctx))
-    local_used = {w.lineno for w in windex.waivers if w.used}
-    det: list[Diagnostic] = []
-    det_used: set[int] = set()
-    if run_det:
-        det_windex = WaiverIndex(module)
-        det = _det_pass(module, det_windex, ctx)
-        det_used = {w.lineno for w in det_windex.waivers if w.used}
-    return local, local_used, det, det_used
-
-
-#: Fork-pool state: set before the executor is created so children
-#: inherit the parsed context instead of pickling it per task.
-_POOL_CTX: AnalysisContext | None = None
-_POOL_SELECTION: tuple[tuple[str, ...], bool] = ((), False)
-
-
-def _set_pool_state(
-    ctx: AnalysisContext, local_names: tuple[str, ...], run_det: bool
-) -> None:
-    global _POOL_CTX, _POOL_SELECTION
-    _POOL_CTX = ctx
-    _POOL_SELECTION = (local_names, run_det)
-    set_pool_modules(ctx.modules)
-
-
-def _module_worker(
-    relpath: str,
-) -> tuple[list[Diagnostic], set[int], list[Diagnostic], set[int]]:
-    ctx = _POOL_CTX
-    assert ctx is not None, "pool state not initialised before fork"
-    local_names, run_det = _POOL_SELECTION
-    module = next(m for m in ctx.modules if m.relpath == relpath)
-    return _run_module_passes(module, ctx, local_names, run_det)
-
-
-def _det_context_hash(ctx: AnalysisContext) -> str:
-    """Identity of the det pass's cross-module inputs.
-
-    The only whole-program facts the DET rules consume are the
-    worker-reachable name set and the witness call chains quoted in
-    messages (DET020).  Keying the det cache cell on those — rather
-    than the whole scan set — keeps entries valid across edits that
-    leave pool reachability unchanged, so transitive invalidation is
-    governed by the units summary machinery alone.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(ANALYSIS_VERSION.encode("utf-8"))
-    for name in sorted(ctx.reachable):
-        h.update(name.encode("utf-8"))
-        h.update("\x1f".join(ctx.graph.witness_path(name)).encode("utf-8"))
-        h.update(b"\x1e")
-    return h.hexdigest()
-
-
-def _resolve_changed(
-    changed: Iterable[str | Path],
-    modules: list[ModuleSource],
-) -> set[str]:
-    """Map externally supplied paths (git output, CLI args) onto scan
-    relpaths; paths outside the scan set are silently ignored."""
-    rels = {m.relpath for m in modules}
-    by_resolved: dict[Path, str] = {}
-    for module in modules:
-        try:
-            by_resolved[module.path.resolve()] = module.relpath
-        except OSError:  # pragma: no cover - dangling scan entry
-            continue
-    out: set[str] = set()
-    for item in changed:
-        text = str(item).replace("\\", "/")
-        if text in rels:
-            out.add(text)
-            continue
-        try:
-            resolved = Path(item).resolve()
-        except OSError:  # pragma: no cover
-            continue
-        rel = by_resolved.get(resolved)
-        if rel is not None:
-            out.add(rel)
-    return out
 
 
 def check_paths(
@@ -278,262 +61,59 @@ def check_paths(
     relative_to: Path | None = None,
     passes: tuple[str, ...] | None = None,
     select: tuple[str, ...] | None = None,
-    baseline: frozenset[str] | None = None,
     warn_unused_waivers: bool = True,
-    jobs: int = 1,
-    cache_dir: Path | None = None,
-    changed: Sequence[str | Path] | None = None,
 ) -> StaticReport:
     """Run the static passes over files/directories (default: ``repro``).
 
     ``passes`` restricts which rule families run (``None`` = all);
     ``select`` keeps only findings whose code starts with one of the
-    given prefixes; ``baseline`` moves findings with known
-    fingerprints into the report's ``baselined`` bucket (both the
-    context-hashed and the deprecated positional form match, the
-    latter counted in ``baseline_legacy_matches``).  ``W000`` (unused
-    waiver) is emitted only when every pass ran, since a partial run
-    cannot know whether a waiver is stale.
-
-    ``cache_dir`` enables the incremental cache (full pass set only —
-    a partial run would poison shared cells); ``jobs`` > 1 fans
-    modules and summary SCCs out over a fork pool (0 = all cores);
-    ``changed`` narrows the *reported* modules to the dependency
-    closure of the given files while summaries still cover the whole
-    scan set.
+    given prefixes, and a prefix that matches no registered code is an
+    error (a typo must not pass the gate).  ``W000`` (unused waiver) is
+    emitted only when every pass ran, since a partial run cannot know
+    whether a waiver is stale.
     """
-    ctx = load_context(roots, relative_to=relative_to)
     selected = PASS_NAMES if passes is None else tuple(passes)
     for name in selected:
         if name not in PASS_NAMES:
             raise SanitizerError(
                 f"unknown pass {name!r} (have: {', '.join(PASS_NAMES)})"
             )
-    full_run = set(selected) == set(PASS_NAMES)
-    by_rel = {m.relpath: m for m in ctx.modules}
-
-    if changed is None:
-        report_rels = set(by_rel)
-    else:
-        report_rels = ctx.graph.dependents_of(
-            _resolve_changed(changed, ctx.modules)
-        )
-    report_order = [m for m in ctx.modules if m.relpath in report_rels]
-
-    cache: StaticCache | None = None
-    if cache_dir is not None and full_run:
-        try:
-            cache = StaticCache(cache_dir)
-        except OSError:
-            cache = None
-
-    local_names = tuple(n for n in _LOCAL_PASSES if n in selected)
-    run_det = "det" in selected
-    det_key = _det_context_hash(ctx)
-
-    n_jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
-    can_fork = "fork" in multiprocessing.get_all_start_methods()
-    executor: Any = None
-
-    def pool() -> Any:
-        """Lazily created fork executor (None when unavailable)."""
-        nonlocal executor
-        if executor is None and n_jobs > 1 and can_fork:
-            from concurrent.futures import ProcessPoolExecutor
-
-            executor = ProcessPoolExecutor(
-                max_workers=n_jobs,
-                mp_context=multiprocessing.get_context("fork"),
+    for prefix in select or ():
+        if not any(code.startswith(prefix) for code in STATIC_CODES):
+            raise SanitizerError(
+                f"select prefix {prefix!r} matches no registered "
+                "diagnostic code (see `repro check --codes`)"
             )
-        return executor
-
-    if n_jobs > 1 and can_fork:
-        _set_pool_state(ctx, local_names, run_det)
+    modules = load_modules(roots, relative_to=relative_to)
+    graph = CallGraph(modules)
+    reachable = graph.worker_reachable()
+    report_unused = warn_unused_waivers and set(selected) == set(PASS_NAMES)
 
     findings: list[Diagnostic] = []
-    used_by_rel: dict[str, set[int]] = {rel: set() for rel in report_rels}
-    analyzed_rels: set[str] = set()
-
-    try:
-        # ---- per-module phase over the reported set -------------------
-        misses: list[ModuleSource] = []
-        for module in report_order:
-            entry: dict[str, Any] = (
-                {} if cache is None
-                else cache.load(cell_id(module.relpath,
-                                        module.content_hash))
+    for module in modules:
+        windex = WaiverIndex(module)
+        if "repo" in selected:
+            findings.extend(repo_pass(module, windex))
+        if "det" in selected:
+            findings.extend(det_pass(module, windex, graph, reachable))
+        if not report_unused:
+            continue
+        findings.extend(
+            diagnostic(
+                "W000",
+                f"waiver {waiver.text!r} suppressed nothing; "
+                f"delete it or fix its code list",
+                path=str(module.path),
+                line=waiver.lineno,
+                relpath=module.relpath,
             )
-            local_entry = entry.get("local")
-            det_entry = entry.get("det")
-            hit = (
-                cache is not None
-                and isinstance(local_entry, dict)
-                and isinstance(det_entry, dict)
-                and det_entry.get("key") == det_key
-            )
-            if not hit:
-                misses.append(module)
-                continue
-            try:
-                assert isinstance(local_entry, dict)
-                assert isinstance(det_entry, dict)
-                for sub in (local_entry, det_entry):
-                    findings.extend(
-                        finding_from_json(p, module)
-                        for p in sub["findings"]
-                    )
-                    used_by_rel[module.relpath] |= {
-                        int(n) for n in sub["used"]
-                    }
-            except (KeyError, TypeError, ValueError):
-                misses.append(module)
-
-        if misses:
-            analyzed_rels.update(m.relpath for m in misses)
-            runner = pool() if len(misses) > 1 else None
-            if runner is not None:
-                results = list(runner.map(
-                    _module_worker, [m.relpath for m in misses]
-                ))
-            else:
-                results = [
-                    _run_module_passes(m, ctx, local_names, run_det)
-                    for m in misses
-                ]
-            for module, (local, local_used, det, det_used) in zip(
-                misses, results
-            ):
-                findings.extend(local)
-                findings.extend(det)
-                used_by_rel[module.relpath] |= local_used | det_used
-                if cache is not None:
-                    cache.update(
-                        cell_id(module.relpath, module.content_hash),
-                        local={
-                            "findings": [
-                                finding_to_json(f) for f in local
-                            ],
-                            "used": sorted(local_used),
-                        },
-                        det={
-                            "key": det_key,
-                            "findings": [
-                                finding_to_json(f) for f in det
-                            ],
-                            "used": sorted(det_used),
-                        },
-                    )
-
-        # ---- interprocedural units phase (whole scan set) -------------
-        if "units" in selected:
-            outcome = run_units(
-                ctx.modules, ctx.graph,
-                cache=cache,
-                executor_factory=(
-                    pool if n_jobs > 1 and can_fork else None
-                ),
-            )
-            for rel in report_rels:
-                findings.extend(outcome.findings.get(rel, ()))
-                used_by_rel[rel] |= outcome.used_waivers.get(rel, set())
-            analyzed_rels |= outcome.reanalyzed & report_rels
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
-    if warn_unused_waivers and full_run:
-        for module in report_order:
-            windex = WaiverIndex(module)
-            used = used_by_rel[module.relpath]
-            for waiver in windex.waivers:
-                if waiver.lineno in used:
-                    continue
-                findings.append(
-                    diagnostic(
-                        "W000",
-                        f"waiver {waiver.text!r} suppressed nothing; "
-                        f"delete it or fix its code list",
-                        path=str(module.path),
-                        line=waiver.lineno,
-                        relpath=module.relpath,
-                    )
-                )
-
-    # attach the line's stripped text as the position-independent
-    # fingerprint context (cached findings get it identically — same
-    # content hash, same line text)
-    findings = [
-        dataclasses.replace(
-            f,
-            context=by_rel[f.relpath].line_text(f.line).strip(),
-        ) if f.relpath in by_rel else f
-        for f in findings
-    ]
+            for waiver in windex.unused()
+        )
 
     if select:
         findings = [
             f for f in findings
             if any(f.code.startswith(prefix) for prefix in select)
         ]
-
     findings.sort(key=lambda f: (f.path, f.line, f.code))
-    baselined: list[Diagnostic] = []
-    legacy_matches = 0
-    if baseline:
-        kept: list[Diagnostic] = []
-        for f in findings:
-            if f.fingerprint() in baseline:
-                baselined.append(f)
-            elif f.legacy_fingerprint() in baseline:
-                baselined.append(f)
-                legacy_matches += 1
-            else:
-                kept.append(f)
-        findings = kept
-    analyzed_count = len(analyzed_rels & report_rels)
-    return StaticReport(
-        tuple(findings),
-        files_scanned=len(ctx.modules),
-        baselined=tuple(baselined),
-        analyzed=analyzed_count if cache is not None else -1,
-        cached=(
-            len(report_rels) - analyzed_count if cache is not None else 0
-        ),
-        baseline_legacy_matches=legacy_matches,
-    )
-
-
-# ----------------------------------------------------------------------
-# baselines
-# ----------------------------------------------------------------------
-
-def load_baseline(path: Path) -> frozenset[str]:
-    """Read a baseline file: a JSON list of finding fingerprints."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SanitizerError(f"cannot read baseline {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SanitizerError(f"baseline {path} is not valid JSON: {exc}")
-    if isinstance(payload, dict):
-        payload = payload.get("fingerprints", [])
-    if not isinstance(payload, list) or not all(
-        isinstance(item, str) for item in payload
-    ):
-        raise SanitizerError(
-            f"baseline {path} must be a JSON list of fingerprint strings"
-        )
-    return frozenset(payload)
-
-
-def write_baseline(report: StaticReport, path: Path) -> None:
-    """Write every current finding's fingerprint as the new baseline
-    (always the context-hashed, position-independent form)."""
-    fingerprints = sorted(
-        {f.fingerprint() for f in (*report.findings, *report.baselined)}
-    )
-    payload = json.dumps({"fingerprints": fingerprints}, indent=2) + "\n"
-    try:
-        path.write_text(payload, encoding="utf-8")
-    except OSError as exc:
-        raise SanitizerError(f"cannot write baseline {path}: {exc}")
+    return StaticReport(tuple(findings), files_scanned=len(modules))

@@ -1,11 +1,10 @@
 """The unified diagnostic model and stable-code registry.
 
-Every static pass — determinism (``DET0xx``), repository style
-(``REPRO00x``), array correctness (``ARR0xx``), hot-loop hygiene
-(``PERF0xx``) and the framework's own ``W000`` — emits
+Every static pass — repository style (``REPRO00x``), determinism
+(``DET0xx``) and the framework's own ``W000`` — emits
 :class:`Diagnostic` records carrying a stable code, a severity shared
-with the input linter (:class:`repro.lint.diagnostics.Severity`), a
-location and an optional witness chain.  :data:`STATIC_CODES` is the
+with the input linter (:class:`repro.lint.diagnostics.Severity`) and
+a location.  :data:`STATIC_CODES` is the
 single registry all passes write their vocabulary into; the README
 table and the ``repro check --codes`` listing render from it.
 """
@@ -13,7 +12,6 @@ table and the ``repro check --codes`` listing render from it.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 
 from repro.errors import SanitizerError
 from repro.lint.diagnostics import Severity
@@ -36,7 +34,7 @@ class StaticCode:
     severity: Severity
     title: str
     fix: str
-    #: rule family, e.g. ``"determinism"`` or ``"array"``; groups the
+    #: rule family, e.g. ``"determinism"`` or ``"repository"``; groups the
     #: documentation tables and the SARIF rule metadata
     domain: str
 
@@ -63,9 +61,7 @@ class Diagnostic:
     """One finding of a static pass.
 
     ``path`` is the path as scanned (what the user sees), ``relpath``
-    the scan-root-relative POSIX path (what baselines key on).
-    ``witness`` carries a human-readable evidence chain — a call path
-    for reachability rules, a shape derivation for array rules.
+    the scan-root-relative POSIX path (what SARIF locations use).
     """
 
     code: str
@@ -74,23 +70,12 @@ class Diagnostic:
     path: str
     line: int
     relpath: str = ""
-    symbol: str | None = None
-    witness: tuple[str, ...] = ()
-    #: the stripped source text of the finding's line — the
-    #: position-independent identity ``--baseline`` fingerprints hash,
-    #: so pure refactors (moving code around a file) don't churn
-    #: baseline files.  Attached by the engine after the passes run.
-    context: str = ""
 
     def format(self) -> str:
-        where = f" [{self.symbol}]" if self.symbol else ""
-        text = (
+        return (
             f"{self.path}:{self.line}: {self.code} "
-            f"{self.severity}:{where} {self.message}"
+            f"{self.severity}: {self.message}"
         )
-        if self.witness:
-            text += f" ({' -> '.join(self.witness)})"
-        return text
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -100,37 +85,7 @@ class Diagnostic:
             "path": self.path,
             "relpath": self.relpath,
             "line": self.line,
-            "symbol": self.symbol,
-            "witness": list(self.witness),
-            "context": self.context,
         }
-
-    def fingerprint(self) -> str:
-        """Stable identity used by ``--baseline`` files.
-
-        Hashes the finding's code context (its stripped source line),
-        not its position, so refactors that merely move code don't
-        invalidate baselines.  Two identical findings on textually
-        identical lines of one file share a fingerprint — acceptable
-        for a suppression list.  Falls back to the legacy positional
-        form when no context was attached.
-        """
-        if not self.context:
-            return self.legacy_fingerprint()
-        digest = hashlib.blake2b(
-            self.context.encode("utf-8"), digest_size=8
-        ).hexdigest()
-        return f"{self.relpath or self.path}:{self.code}:h{digest}"
-
-    def legacy_fingerprint(self) -> str:
-        """The pre-context positional identity (path:code:line).
-
-        Still accepted when matching ``--baseline`` files so existing
-        baselines keep working; ``--write-baseline`` emits the
-        context-hashed form, and the CLI notes when a baseline still
-        relies on deprecated positional entries.
-        """
-        return f"{self.relpath or self.path}:{self.code}:{self.line}"
 
 
 def diagnostic(
@@ -140,8 +95,6 @@ def diagnostic(
     path: str,
     line: int,
     relpath: str = "",
-    symbol: str | None = None,
-    witness: tuple[str, ...] = (),
     severity: Severity | None = None,
 ) -> Diagnostic:
     """Build a :class:`Diagnostic`, defaulting severity from the registry."""
@@ -153,8 +106,6 @@ def diagnostic(
         path=path,
         line=line,
         relpath=relpath,
-        symbol=symbol,
-        witness=witness,
     )
 
 
@@ -164,16 +115,6 @@ class StaticReport:
 
     findings: tuple[Diagnostic, ...]
     files_scanned: int = 0
-    #: findings suppressed by a ``--baseline`` file (still inspectable)
-    baselined: tuple[Diagnostic, ...] = ()
-    #: modules actually (re-)analysed this run; differs from
-    #: ``files_scanned`` when the incremental summary cache served some
-    analyzed: int = -1
-    #: modules served entirely from the incremental cache
-    cached: int = 0
-    #: baselined findings matched only via their deprecated positional
-    #: fingerprint — the CLI suggests rewriting the baseline when > 0
-    baseline_legacy_matches: int = 0
 
     @property
     def max_severity(self) -> Severity | None:
@@ -181,15 +122,8 @@ class StaticReport:
             return None
         return max(f.severity for f in self.findings)
 
-    @property
-    def codes(self) -> frozenset[str]:
-        return frozenset(f.code for f in self.findings)
-
     def has(self, code: str) -> bool:
         return any(f.code == code for f in self.findings)
-
-    def by_code(self, code: str) -> tuple[Diagnostic, ...]:
-        return tuple(f for f in self.findings if f.code == code)
 
     def __iter__(self):  # type: ignore[no-untyped-def]
         return iter(self.findings)
@@ -205,18 +139,9 @@ class StaticReport:
             return 0
         return 1 if worst is Severity.WARNING else 2
 
-    def _cache_note(self) -> str:
-        if self.analyzed < 0:
-            return ""
-        return f", {self.cached} cached, {self.analyzed} analyzed"
-
     def summary(self) -> str:
         if not self.findings:
-            text = f"clean ({self.files_scanned} files"
-            text += self._cache_note()
-            if self.baselined:
-                text += f", {len(self.baselined)} baselined"
-            return text + ")"
+            return f"clean ({self.files_scanned} files)"
         counts = []
         for severity, noun in (
             (Severity.ERROR, "error"),
@@ -226,11 +151,7 @@ class StaticReport:
             n = sum(1 for f in self.findings if f.severity is severity)
             if n:
                 counts.append(f"{n} {noun}{'s' if n != 1 else ''}")
-        text = ", ".join(counts) + f" ({self.files_scanned} files"
-        text += self._cache_note()
-        if self.baselined:
-            text += f", {len(self.baselined)} baselined"
-        return text + ")"
+        return ", ".join(counts) + f" ({self.files_scanned} files)"
 
     def format(self) -> str:
         lines = [f.format() for f in self.findings]

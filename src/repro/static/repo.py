@@ -1,12 +1,5 @@
-"""Repository style rules (``REPRO001-004``) on the shared framework.
-
-Historically these lived as a free-standing AST script in
-``tools/check_source.py``, then as ``repro.dsan.repo_rules``; they now
-live in the unified static core so every gate parses each file once,
-reports through one :class:`~repro.static.model.Diagnostic` model and
-grows rules in one place.  The tool remains a thin shim over this
-module, and its public surface (:func:`check_module`, :func:`main`) is
-unchanged:
+"""Repository style rules (``REPRO001-004``), the ``repo`` pass of
+``repro check``:
 
 ``REPRO001``
     No ``except Exception:`` / bare ``except:`` inside ``src/repro`` —
@@ -24,15 +17,12 @@ unchanged:
     ``from __future__ import annotations`` in every module.
 
 A violation is waived for one line with a ``# repro: allow[CODE]``
-comment (the legacy blanket ``# repro-lint: allow`` form stays
-honoured).  Exit status of the CLI: 0 clean, 1 violations, 2 usage/IO
-trouble.
+comment.
 """
 
 from __future__ import annotations
 
 import ast
-import sys
 from pathlib import Path
 
 from repro.lint.diagnostics import Severity
@@ -197,34 +187,7 @@ def repo_pass(module: ModuleSource, windex: WaiverIndex) -> list[Diagnostic]:
 
 
 def check_module(path: Path) -> list[tuple[int, str, str]]:
-    """All rule violations of one source file (legacy tool surface)."""
+    """All ``(lineno, code, message)`` violations of one source file."""
     module = ModuleSource.parse(Path(path))
     return _module_violations(module, WaiverIndex(module))
 
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI of the repository gate (``tools/check_source.py``)."""
-    roots = [Path(arg) for arg in (argv if argv is not None else sys.argv[1:])]
-    if not roots:
-        roots = [Path(__file__).resolve().parent.parent]
-
-    files: list[Path] = []
-    for root in roots:
-        if root.is_file():
-            files.append(root)
-        elif root.is_dir():
-            files.extend(sorted(root.rglob("*.py")))
-        else:
-            print(f"error: no such file or directory: {root}", file=sys.stderr)
-            return 2
-
-    total = 0
-    for path in files:
-        for lineno, code, message in check_module(path):
-            print(f"{path}:{lineno}: {code} {message}")
-            total += 1
-    if total:
-        print(f"{total} violation(s) in {len(files)} file(s)", file=sys.stderr)
-        return 1
-    print(f"{len(files)} file(s) clean")
-    return 0

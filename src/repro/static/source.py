@@ -5,9 +5,8 @@ representation per file (:class:`ModuleSource`): the raw text, the
 split lines, the AST and a content hash.  :class:`SourceCache`
 memoises parses keyed by path and *content hash* — not mtime, which
 CI checkouts and archive extraction make unreliable — so repeated
-analyses (the CLI, the test suite, an editor integration) never
-re-parse an unchanged file, and the on-disk summary cache
-(:mod:`repro.static.summaries`) can key its cells on the same hash.
+analyses in one process (the test suite, an editor integration) never
+re-parse an unchanged file.
 """
 
 from __future__ import annotations
@@ -34,13 +33,13 @@ class ModuleSource:
 
     path: Path
     #: path relative to the scan root, POSIX-style (``core/engine.py``);
-    #: rules use it for module-scoped exemptions and baselines key on it
+    #: rules use it for module-scoped exemptions
     relpath: str
     source: str
     lines: list[str]
     tree: ast.Module
-    #: blake2b hex digest of ``source`` — the identity the incremental
-    #: summary cache keys its cells on
+    #: blake2b hex digest of ``source`` — the identity
+    #: :class:`SourceCache` keys its memo on
     content_hash: str = ""
 
     @classmethod
@@ -100,8 +99,7 @@ class SourceCache:
     """Content-hash-keyed memo of parsed modules.
 
     A process-wide instance backs the framework entry points so the
-    CLI, ``repro sanitize`` and the tests all reuse one parse per
-    file.  Each load re-reads the file's bytes and hashes them — a
+    CLI and the tests reuse one parse per file.  Each load re-reads the file's bytes and hashes them — a
     ``touch`` or a fresh checkout with scrambled mtimes never
     invalidates anything, while any content change always does.
     ``relpath`` is recomputed per scan root because the same file may

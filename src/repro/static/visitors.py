@@ -1,12 +1,9 @@
 """Shared AST visitor infrastructure of the static passes.
 
-Every source-level rule family — repository style (``REPRO00x``),
-determinism (``DET0xx``), array correctness (``ARR0xx``) and hot-loop
-hygiene (``PERF0xx``) — is built on this module: one waiver-aware
-reporting base class (:class:`RuleVisitor`), a scoped symbol table for
-rules that need name resolution (:class:`ScopedSymbols`) and small AST
-helpers the rules share (dotted-name resolution, set-expression
-detection).
+Both rule families — repository style (``REPRO00x``) and determinism
+(``DET0xx``) — are built on this module: one waiver-aware reporting
+base class (:class:`RuleVisitor`) and small AST helpers the rules
+share (dotted-name resolution, set-expression detection).
 """
 
 from __future__ import annotations
@@ -35,37 +32,6 @@ class RuleVisitor(ast.NodeVisitor):
         lineno = getattr(node, "lineno", 1)
         if not self.waivers.waives(lineno, code):
             self.raw_reports.append((lineno, code, message))
-
-
-class ScopedSymbols:
-    """A stack of lexical scopes mapping names to analysis facts.
-
-    The array interpreter and the RNG dataflow rules both need "what
-    does this name mean here" with function-scope granularity; this
-    class is the shared implementation (plain chained dicts — the
-    passes are intraprocedural, so two levels deep in practice).
-    """
-
-    def __init__(self) -> None:
-        self._scopes: list[dict[str, object]] = [{}]
-
-    def push(self) -> None:
-        self._scopes.append({})
-
-    def pop(self) -> None:
-        self._scopes.pop()
-
-    def bind(self, name: str, value: object) -> None:
-        self._scopes[-1][name] = value
-
-    def lookup(self, name: str) -> object | None:
-        for scope in reversed(self._scopes):
-            if name in scope:
-                return scope[name]
-        return None
-
-    def bound_here(self, name: str) -> bool:
-        return name in self._scopes[-1]
 
 
 # ----------------------------------------------------------------------
@@ -148,30 +114,3 @@ def module_level_assignments(tree: ast.Module) -> frozenset[str]:
                 )
     return frozenset(names)
 
-
-def decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
-    """Bare names of a function's decorators (call or plain form)."""
-    names: list[str] = []
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = dotted_name(target)
-        if name is not None:
-            names.append(last_attr(name))
-    return names
-
-
-def iter_functions(tree: ast.Module):  # type: ignore[no-untyped-def]
-    """Yield ``(qualname, function_node)`` for every def in the module."""
-    stack: list[tuple[ast.AST, str]] = [(tree, "")]
-    while stack:
-        node, prefix = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}"
-                yield qualname, child
-                stack.append((child, f"{qualname}.<locals>."))
-            elif isinstance(child, ast.ClassDef):
-                stack.append((child, f"{prefix}{child.name}."))
-            else:
-                # other statements can still nest defs (`if`, `with`)
-                stack.append((child, prefix))

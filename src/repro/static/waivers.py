@@ -1,16 +1,13 @@
-"""Per-line waiver comments, unified across every static pass.
+"""Per-line waiver comments, shared by every static pass.
 
-The canonical syntax names the code(s) being waived plus an
-(encouraged) human justification::
+The one syntax names the code(s) being waived plus an (encouraged)
+human justification::
 
-    rates = table[idx]  # repro: allow[ARR003] scratch buffer, never escapes
+    rng = np.random.default_rng()  # repro: allow[DET001] replay tool, seeded upstream
 
-Multiple codes may share one comment (``allow[ARR003,PERF002]``);
-silencing one rule never silences the others on that line.  Two legacy
-forms stay honoured so history does not churn: the determinism
-sanitizer's ``# dsan: allow[...]`` (same per-code semantics) and
-the repository gate's blanket ``# repro-lint: allow`` (which waives
-every ``REPRO00x`` rule on its line, as it always did).
+Multiple codes may share one comment (``allow[DET001,REPRO002]``);
+silencing one rule never silences the others on that line, and there
+is no blanket form.
 
 A waiver applies to its own line or — so justifications stay readable
 — to a report on the first code line below a pure-comment block
@@ -45,13 +42,8 @@ register_codes(
     ),
 )
 
-#: the unified syntax: ``repro: allow[...]`` naming one or more codes
-_UNIFIED = re.compile(r"#\s*repro:\s*allow\[([A-Z0-9,\s]+)\]")
-#: legacy determinism-sanitizer syntax: ``dsan: allow[...]``
-_LEGACY_DSAN = re.compile(r"#\s*dsan:\s*allow\[([A-Z0-9,\s]+)\]")
-#: legacy blanket repository-rule waiver (prefix spelled out in parts
-#: so this line never parses as a waiver of its own)
-_LEGACY_REPO = "# repro-lint" + ": allow"
+#: the waiver syntax: ``repro: allow[...]`` naming one or more codes
+_WAIVER = re.compile(r"#\s*repro:\s*allow\[([A-Z0-9,\s]+)\]")
 
 
 @dataclasses.dataclass
@@ -59,33 +51,22 @@ class Waiver:
     """One waiver comment found in a module."""
 
     lineno: int
-    #: waived codes; ``None`` means the legacy blanket form, which
-    #: covers every repository (``REPRO``) rule on the line
-    codes: frozenset[str] | None
+    codes: frozenset[str]
     text: str
     used: bool = False
 
-    def covers(self, code: str) -> bool:
-        if self.codes is None:
-            return code.startswith("REPRO")
-        return code in self.codes
 
-
-def _parse_comment(lineno: int, text: str) -> list[Waiver]:
-    waivers: list[Waiver] = []
-    codes: set[str] = set()
-    for pattern in (_UNIFIED, _LEGACY_DSAN):
-        for match in pattern.finditer(text):
-            codes.update(
-                code.strip()
-                for code in match.group(1).split(",")
-                if code.strip()
-            )
-    if codes:
-        waivers.append(Waiver(lineno, frozenset(codes), text.strip()))
-    elif _LEGACY_REPO in text:
-        waivers.append(Waiver(lineno, None, text.strip()))
-    return waivers
+def _parse_waiver(lineno: int, text: str) -> Waiver | None:
+    """The waiver in comment ``text``, or ``None`` if it holds none."""
+    codes = {
+        code.strip()
+        for match in _WAIVER.finditer(text)
+        for code in match.group(1).split(",")
+        if code.strip()
+    }
+    if not codes:
+        return None
+    return Waiver(lineno, frozenset(codes), text.strip())
 
 
 class WaiverIndex:
@@ -98,12 +79,12 @@ class WaiverIndex:
 
     def __init__(self, module: ModuleSource):
         self.module = module
-        self._by_line: dict[int, list[Waiver]] = {}
-        self.waivers: list[Waiver] = []
+        self._by_line: dict[int, Waiver] = {}
         for lineno, text in _iter_comments(module):
-            for waiver in _parse_comment(lineno, text):
-                self.waivers.append(waiver)
-                self._by_line.setdefault(lineno, []).append(waiver)
+            waiver = _parse_waiver(lineno, text)
+            if waiver is not None:
+                self._by_line[lineno] = waiver
+        self.waivers = list(self._by_line.values())
 
     # ------------------------------------------------------------------
     def waives(self, lineno: int, code: str) -> bool:
@@ -126,11 +107,11 @@ class WaiverIndex:
         return False
 
     def _match(self, lineno: int, code: str) -> bool:
-        for waiver in self._by_line.get(lineno, ()):
-            if waiver.covers(code):
-                waiver.used = True
-                return True
-        return False
+        waiver = self._by_line.get(lineno)
+        if waiver is None or code not in waiver.codes:
+            return False
+        waiver.used = True
+        return True
 
     def unused(self) -> list[Waiver]:
         """Waiver comments that suppressed nothing, in line order."""
@@ -139,8 +120,8 @@ class WaiverIndex:
 
 def _iter_comments(module: ModuleSource) -> list[tuple[int, str]]:
     """``(lineno, text)`` for every real comment token of the module."""
-    # every waiver form contains "allow"; most modules have none, and
-    # skipping their tokenize pass keeps warm `repro check` runs fast
+    # every waiver contains "allow"; most modules have none, and
+    # skipping their tokenize pass keeps `repro check` fast
     if "allow" not in module.source:
         return []
     comments: list[tuple[int, str]] = []

@@ -1,19 +1,16 @@
-"""Tests for the repository-rule linter (``tools/check_source.py``)."""
+"""Tests for the repository style rules (``REPRO001-004``, the ``repo``
+pass of ``repro check``)."""
 
-import importlib.util
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).parent.parent
-TOOL = REPO / "tools" / "check_source.py"
+from repro.static import check_paths
+from repro.static.repo import check_module
 
-spec = importlib.util.spec_from_file_location("check_source", TOOL)
-check_source = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(check_source)
+REPO = Path(__file__).parent.parent
 
 HEADER = "from __future__ import annotations\n"
 
@@ -21,7 +18,7 @@ HEADER = "from __future__ import annotations\n"
 def violations_of(tmp_path, source):
     path = tmp_path / "mod.py"
     path.write_text(source)
-    return check_source.check_module(path)
+    return check_module(path)
 
 
 def codes_of(tmp_path, source):
@@ -94,28 +91,22 @@ class TestRules:
     def test_waiver_comment_suppresses(self, tmp_path):
         src = HEADER + (
             "def f():\n"
-            "    raise ValueError('x')  # repro-lint: allow\n"
+            "    raise ValueError('x')  # repro: allow[REPRO002]\n"
         )
         assert codes_of(tmp_path, src) == []
 
 
 class TestRepoIsClean:
-    def test_src_repro_passes(self, capsys):
-        assert check_source.main([str(REPO / "src" / "repro")]) == 0
+    def test_src_repro_passes(self):
+        report = check_paths([REPO / "src" / "repro"], passes=("repo",))
+        assert report.exit_code == 0, report.format()
 
-    def test_tool_lints_itself(self, capsys):
-        assert check_source.main([str(TOOL)]) == 0
-
-    def test_violations_exit_one(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f():\n    raise ValueError('x')\n")
-        assert check_source.main([str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "REPRO002" in out and "REPRO004" in out
-        assert f"{bad}:2:" in out
-
-    def test_missing_path_exits_two(self, tmp_path, capsys):
-        assert check_source.main([str(tmp_path / "gone")]) == 2
+    def test_tool_lints_itself(self):
+        # the analyzer package is held to the rules it enforces
+        report = check_paths(
+            [REPO / "src" / "repro" / "static"], passes=("repo",)
+        )
+        assert report.exit_code == 0, report.format()
 
 
 class TestTypeGate:

@@ -1,21 +1,19 @@
-"""Tests for the static determinism sanitizer (``repro sanitize``)."""
+"""Tests for the ``DET0xx`` determinism rules (``repro check`` ``det`` pass)."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 from repro.cli import main as cli_main
-from repro.dsan import (
-    DET_CODES,
-    code_table,
-    report_as_json,
-    sanitize_paths,
-    waived_codes,
-)
+from repro.static import STATIC_CODES, check_paths, code_table, report_as_json
+from repro.static.source import ModuleSource
+from repro.static.waivers import WaiverIndex
 
 REPO = Path(__file__).parent.parent
 
 HEADER = "from __future__ import annotations\nimport numpy as np\n"
+
+DET_CODES = {code for code in STATIC_CODES if code.startswith("DET")}
 
 
 def report_of(tmp_path, source, name="mod.py"):
@@ -24,7 +22,7 @@ def report_of(tmp_path, source, name="mod.py"):
     path.write_text(HEADER + source)
     # anchor relpaths at tmp_path so module-scoped exemptions
     # (telemetry/clock.py, parallel/seeds.py) resolve as in a real scan
-    return sanitize_paths([path], relative_to=tmp_path)
+    return check_paths([path], relative_to=tmp_path, passes=("det",))
 
 
 def codes_of(tmp_path, source, name="mod.py"):
@@ -267,14 +265,14 @@ class TestWaivers:
         src = (
             "def f():\n"
             "    return np.random.default_rng()"
-            "  # dsan: allow[DET001] replay tool\n"
+            "  # repro: allow[DET001] replay tool\n"
         )
         assert codes_of(tmp_path, src) == []
 
     def test_comment_block_above_suppresses(self, tmp_path):
         src = (
             "def f():\n"
-            "    # dsan: allow[DET001] seeded by the caller's harness\n"
+            "    # repro: allow[DET001] seeded by the caller's harness\n"
             "    return np.random.default_rng()\n"
         )
         assert codes_of(tmp_path, src) == []
@@ -283,14 +281,18 @@ class TestWaivers:
         src = (
             "def f():\n"
             "    return np.random.default_rng()"
-            "  # dsan: allow[DET022]\n"
+            "  # repro: allow[DET022]\n"
         )
         assert codes_of(tmp_path, src) == ["DET001"]
 
-    def test_waived_codes_parses_lists(self):
-        line = "x = 1  # dsan: allow[DET001,DET005] because reasons"
-        assert waived_codes(line) == frozenset({"DET001", "DET005"})
-        assert waived_codes("x = 1  # a plain comment") == frozenset()
+    def test_waived_codes_parses_lists(self, tmp_path):
+        source = (
+            "x = 1  # repro: allow[DET001,DET005] because reasons\n"
+            "y = 2  # a plain comment\n"
+        )
+        module = ModuleSource.parse_text(source, tmp_path / "mod.py")
+        waivers = WaiverIndex(module).waivers
+        assert [w.codes for w in waivers] == [frozenset({"DET001", "DET005"})]
 
 
 class TestReport:
@@ -342,20 +344,22 @@ class TestReport:
 
 class TestRepoIsClean:
     def test_src_repro_passes(self):
-        report = sanitize_paths([REPO / "src" / "repro"])
+        report = check_paths([REPO / "src" / "repro"], passes=("det",))
         assert report.exit_code == 0, report.format()
         assert report.files_scanned > 50
 
 
 class TestCli:
+    """The DET rules' command-line front end: ``repro check --select DET``."""
+
     def test_sanitize_default_root_clean(self, capsys):
-        assert cli_main(["sanitize"]) == 0
+        assert cli_main(["check", "--select", "DET"]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_sanitize_reports_violations(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\nrng = np.random.default_rng()\n")
-        assert cli_main(["sanitize", str(bad)]) == 2
+        assert cli_main(["check", "--select", "DET", str(bad)]) == 2
         out = capsys.readouterr().out
         assert "DET001" in out
 
@@ -364,11 +368,13 @@ class TestCli:
 
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\nrng = np.random.default_rng()\n")
-        assert cli_main(["sanitize", str(bad), "--format", "json"]) == 2
+        assert cli_main(
+            ["check", "--select", "DET", str(bad), "--format", "json"]
+        ) == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"][0]["code"] == "DET001"
 
     def test_sanitize_codes_table(self, capsys):
-        assert cli_main(["sanitize", "--codes"]) == 0
+        assert cli_main(["check", "--codes"]) == 0
         out = capsys.readouterr().out
         assert "DET001" in out and "DET022" in out

@@ -126,7 +126,7 @@ class TestVerifyShadow:
                 build_set(vs=0.01, vd=-0.01),
                 SimulationConfig(temperature=5.0, seed=5, event_hash=True),
             )
-            engine.solver.rng = np.random.default_rng()  # dsan: allow[DET001] the test's deliberate defect
+            engine.solver.rng = np.random.default_rng()  # repro: allow[DET001] the test's deliberate defect
             engine.run(max_jumps=60)
             return engine.event_hash()
 
@@ -148,7 +148,7 @@ def _well_behaved(x):
 
 
 def _leaky(x):
-    np.random.random()  # dsan: allow[DET002] the test's deliberate leak
+    np.random.random()  # repro: allow[DET002] the test's deliberate leak
     return x
 
 
@@ -182,7 +182,7 @@ class TestPoolBoundary:
 
     def test_fingerprint_sees_global_rng_draw(self):
         before = state_fingerprint()
-        np.random.random()  # dsan: allow[DET002] the test's deliberate leak
+        np.random.random()  # repro: allow[DET002] the test's deliberate leak
         changed = diff_fingerprints(before, state_fingerprint())
         assert any("numpy" in name for name in changed)
 

@@ -1,9 +1,9 @@
-"""Tests for the unified static-analysis framework (``repro check``).
+"""Tests for the static-analysis framework (``repro check``).
 
-Covers the shared core: waiver forms (unified, legacy per-code, legacy
-blanket), the W000 unused-waiver rule, JSON/SARIF emitters, baseline
-round-trips, the code registry and the CLI — plus the repo-clean gate
-that keeps ``src/repro`` free of findings from every rule family.
+Covers the shared core: the one waiver syntax, the W000 unused-waiver
+rule, JSON/SARIF emitters, the code registry, ``--select`` and the
+CLI — plus the repo-clean gate that keeps ``src/repro`` free of
+findings from both rule families.
 """
 
 from __future__ import annotations
@@ -11,27 +11,26 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main as cli_main
+from repro.errors import SanitizerError
 from repro.static import (
     STATIC_CODES,
     check_paths,
     code_table,
-    load_baseline,
     report_as_json,
     report_as_sarif,
-    write_baseline,
 )
 
 REPO = Path(__file__).parent.parent
 
 HEADER = "from __future__ import annotations\nimport numpy as np\n"
-KERNEL_HEADER = HEADER + "from repro.static import array_contract, hot\n"
 
-#: a kernel with one provable ARR001: (3,) + (4,)
-BROKEN_KERNEL = (
-    '@array_contract(q="(3,) float64", out="(3,) float64")\n'
-    "def f(q):\n"
-    "    return q + np.zeros(4)\n"
+#: a module with one DET001: an unseeded generator
+BROKEN = (
+    "def f():\n"
+    "    return np.random.default_rng()\n"
 )
 
 
@@ -47,113 +46,85 @@ def codes_of(tmp_path, source, name="mod.py", **kwargs):
 
 class TestWaivers:
     def test_unified_waiver_suppresses(self, tmp_path):
-        src = KERNEL_HEADER + BROKEN_KERNEL.replace(
-            "return q + np.zeros(4)",
-            "return q + np.zeros(4)  # repro: allow[ARR001] sized at runtime",
+        src = HEADER + BROKEN.replace(
+            "return np.random.default_rng()",
+            "return np.random.default_rng()  # repro: allow[DET001] fixture",
         )
         assert codes_of(tmp_path, src) == []
 
     def test_comment_block_above_covers_next_statement(self, tmp_path):
-        src = KERNEL_HEADER + BROKEN_KERNEL.replace(
-            "    return q + np.zeros(4)",
-            "    # repro: allow[ARR001] trailing pad is intentional\n"
-            "    return q + np.zeros(4)",
+        src = HEADER + BROKEN.replace(
+            "    return np.random.default_rng()",
+            "    # repro: allow[DET001] seeded by the caller's harness\n"
+            "    return np.random.default_rng()",
         )
         assert codes_of(tmp_path, src) == []
 
     def test_wrong_code_does_not_suppress(self, tmp_path):
-        src = KERNEL_HEADER + BROKEN_KERNEL.replace(
-            "return q + np.zeros(4)",
-            "return q + np.zeros(4)  # repro: allow[ARR002] wrong code",
+        src = HEADER + BROKEN.replace(
+            "return np.random.default_rng()",
+            "return np.random.default_rng()  # repro: allow[DET002] wrong code",
         )
         codes = codes_of(tmp_path, src)
-        assert "ARR001" in codes
+        assert "DET001" in codes
         assert "W000" in codes  # the mistargeted waiver is itself stale
 
-    def test_legacy_dsan_form_still_honoured(self, tmp_path):
-        src = HEADER + (
+    def test_legacy_forms_no_longer_suppress(self, tmp_path):
+        src = (
+            "import numpy as np  # repro-lint: allow\n"
             "def f():\n"
             "    return np.random.default_rng()"
             "  # dsan: allow[DET001] test fixture\n"
         )
-        assert codes_of(tmp_path, src) == []
-
-    def test_legacy_blanket_form_covers_repro_codes_only(self, tmp_path):
-        src = (
-            "import numpy as np  # repro-lint: allow\n"
-            "def f():\n"
-            "    return np.random.default_rng()\n"
-        )
-        codes = codes_of(tmp_path, src)
-        # REPRO004 (missing future import, reported on line 1) is
-        # blanket-waived; the DET001 on line 3 is not
-        assert codes == ["DET001"]
+        # neither the old blanket form (REPRO004 on line 1) nor the old
+        # determinism form (DET001 on line 3) is a waiver any more
+        assert codes_of(tmp_path, src) == ["REPRO004", "DET001"]
 
     def test_unused_waiver_reported_as_w000(self, tmp_path):
-        src = HEADER + "X = 1  # repro: allow[ARR001] nothing here\n"
+        src = HEADER + "X = 1  # repro: allow[DET001] nothing here\n"
         assert codes_of(tmp_path, src) == ["W000"]
 
     def test_w000_suppressed_on_partial_runs(self, tmp_path):
-        src = HEADER + "X = 1  # repro: allow[ARR001] nothing here\n"
+        src = HEADER + "X = 1  # repro: allow[DET001] nothing here\n"
         assert codes_of(tmp_path, src, passes=("det",)) == []
         assert codes_of(tmp_path, src, warn_unused_waivers=False) == []
 
 
 class TestRegistry:
     def test_all_families_registered(self):
-        for code in ("REPRO001", "DET001", "ARR001", "PERF001", "W000"):
+        for code in ("REPRO001", "DET001", "W000"):
             assert code in STATIC_CODES
+        assert {code.rstrip("0123456789") for code in STATIC_CODES} == {
+            "REPRO", "DET", "W",
+        }
 
     def test_code_table_lists_every_domain(self):
         table = code_table()
-        for domain in ("repository", "determinism", "array", "performance"):
+        for domain in ("repository", "determinism", "framework"):
             assert f"[{domain}]" in table
 
 
 class TestEmitters:
     def test_json_payload(self, tmp_path):
-        report = run_check(tmp_path, KERNEL_HEADER + BROKEN_KERNEL)
+        report = run_check(tmp_path, HEADER + BROKEN)
         payload = json.loads(report_as_json(report))
         assert payload["files_scanned"] == 1
         assert payload["exit_code"] == 2
-        assert [f["code"] for f in payload["findings"]] == ["ARR001"]
+        assert [f["code"] for f in payload["findings"]] == ["DET001"]
 
     def test_sarif_payload(self, tmp_path):
-        report = run_check(tmp_path, KERNEL_HEADER + BROKEN_KERNEL)
+        report = run_check(tmp_path, HEADER + BROKEN)
         sarif = json.loads(report_as_sarif(report))
         assert sarif["version"] == "2.1.0"
         run = sarif["runs"][0]
         rules = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "ARR001" in rules
+        assert "DET001" in rules
         result = run["results"][0]
-        assert result["ruleId"] == "ARR001"
+        assert result["ruleId"] == "DET001"
         assert result["level"] == "error"
         location = result["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "mod.py"
         assert location["region"]["startLine"] > 1
-
-
-class TestBaseline:
-    def test_round_trip_moves_findings_to_baselined(self, tmp_path):
-        report = run_check(tmp_path, KERNEL_HEADER + BROKEN_KERNEL)
-        assert report.exit_code == 2
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(report, baseline_file)
-
-        baseline = load_baseline(baseline_file)
-        rerun = run_check(
-            tmp_path, KERNEL_HEADER + BROKEN_KERNEL, baseline=baseline
-        )
-        assert rerun.findings == ()
-        assert [f.code for f in rerun.baselined] == ["ARR001"]
-        assert rerun.exit_code == 0
-
-    def test_unknown_fingerprints_do_not_hide_new_findings(self, tmp_path):
-        baseline = frozenset({"other.py:ARR001:10"})
-        report = run_check(
-            tmp_path, KERNEL_HEADER + BROKEN_KERNEL, baseline=baseline
-        )
-        assert [f.code for f in report.findings] == ["ARR001"]
 
 
 class TestSelect:
@@ -167,6 +138,11 @@ class TestSelect:
         assert codes_of(tmp_path, src, select=("REPRO",)) == ["REPRO004"]
 
 
+    def test_unknown_prefix_is_an_error(self, tmp_path):
+        with pytest.raises(SanitizerError, match="'ARR'"):
+            run_check(tmp_path, HEADER + BROKEN, select=("DET", "ARR"))
+
+
 class TestCli:
     def test_check_default_root_clean(self, capsys):
         assert cli_main(["check"]) == 0
@@ -174,34 +150,29 @@ class TestCli:
 
     def test_check_reports_violations(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
-        bad.write_text(KERNEL_HEADER + BROKEN_KERNEL)
+        bad.write_text(HEADER + BROKEN)
         assert cli_main(["check", str(bad)]) == 2
-        assert "ARR001" in capsys.readouterr().out
+        assert "DET001" in capsys.readouterr().out
 
     def test_check_codes_table(self, capsys):
         assert cli_main(["check", "--codes"]) == 0
         out = capsys.readouterr().out
-        assert "ARR001" in out and "PERF001" in out and "DET001" in out
+        assert "REPRO001" in out and "DET001" in out and "W000" in out
 
     def test_check_sarif_format(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
-        bad.write_text(KERNEL_HEADER + BROKEN_KERNEL)
+        bad.write_text(HEADER + BROKEN)
         assert cli_main(["check", "--format", "sarif", str(bad)]) == 2
         sarif = json.loads(capsys.readouterr().out)
-        assert sarif["runs"][0]["results"][0]["ruleId"] == "ARR001"
+        assert sarif["runs"][0]["results"][0]["ruleId"] == "DET001"
 
-    def test_check_baseline_flow(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(KERNEL_HEADER + BROKEN_KERNEL)
-        baseline = tmp_path / "baseline.json"
-        assert cli_main(
-            ["check", "--write-baseline", str(baseline), str(bad)]
-        ) == 0
-        capsys.readouterr()
-        assert cli_main(
-            ["check", "--baseline", str(baseline), str(bad)]
-        ) == 0
-        assert "baselined" in capsys.readouterr().out
+    def test_check_unknown_select_prefix_fails(self, tmp_path, capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text(HEADER)
+        # a typo must fail the gate like a missing path does, not pass
+        assert cli_main(["check", "--select", "XYZ", str(clean)]) == 1
+        assert "'XYZ'" in capsys.readouterr().err
+        assert cli_main(["check", str(tmp_path / "gone")]) == 1
 
 
 class TestRepoIsClean:
@@ -212,15 +183,3 @@ class TestRepoIsClean:
         report = check_paths([REPO / "src" / "repro"])
         assert report.exit_code == 0, report.format()
         assert report.files_scanned > 50
-
-    def test_kernels_carry_contracts(self):
-        # the ARR pass must actually have kernels to chew on — guard
-        # against the annotations silently disappearing
-        from repro.circuit.electrostatics import Electrostatics
-        from repro.physics.orthodox import orthodox_rates_both
-
-        contract = orthodox_rates_both.__array_contract__
-        assert contract.params["resistances"].shape == ("n_junctions",)
-        assert orthodox_rates_both.__hot__
-        assert Electrostatics.island_charges.__array_contract__.out.dtype \
-            == "float64"

@@ -1,49 +1,15 @@
-"""Tests for the numerical-stability (NUM) pass.
+"""Numerical idioms from the working kernels that ``repro check`` must
+not flag.
 
-Corpus pins for every NUM code plus targeted checks of the guard
-recognition — the pass must stay silent when the repo's own guarded
-idioms (range tests, masked ``expm1``, log-sum-exp shifts) are used.
+Range tests, log-sum-exp shifts, masked ``expm1``, exact-zero
+dispatch on a named temperature and float64 accumulation all appear
+in the physics modules; a false positive on any of them would force a
+waiver into a kernel.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-import pytest
-
 from repro.static import check_paths
-
-CORPUS = Path(__file__).parent / "data" / "static"
-
-#: module stem -> the one code its seeded bug must produce
-EXPECTED = {
-    "num001_exp": "NUM001",
-    "num002_expm1": "NUM002",
-    "num003_equality": "NUM003",
-    "num004_expdiff": "NUM004",
-    "num005_float32": "NUM005",
-}
-
-
-def codes_in(path: Path) -> list[str]:
-    report = check_paths([path], relative_to=CORPUS)
-    return [f.code for f in report.findings]
-
-
-class TestSeededBugs:
-    @pytest.mark.parametrize("stem", sorted(EXPECTED))
-    def test_bug_module_yields_exactly_its_code(self, stem):
-        assert codes_in(CORPUS / f"{stem}.py") == [EXPECTED[stem]]
-
-    @pytest.mark.parametrize("stem", sorted(EXPECTED))
-    def test_clean_twin_is_silent(self, stem):
-        assert codes_in(CORPUS / f"{stem}_clean.py") == []
-
-    def test_corpus_is_complete(self):
-        stems = {p.stem for p in CORPUS.glob("*.py")}
-        for stem in EXPECTED:
-            assert stem in stems
-            assert f"{stem}_clean" in stems
 
 
 class TestGuardRecognition:
@@ -95,13 +61,6 @@ class TestGuardRecognition:
             "    return temperature == 0.0\n"
         )
         assert self.run(tmp_path, body) == []
-
-    def test_float32_sum_keyword_flagged(self, tmp_path):
-        body = (
-            "def f(x):\n"
-            "    return np.sum(x, dtype=np.float32)\n"
-        )
-        assert self.run(tmp_path, body) == ["NUM005"]
 
     def test_float64_accumulation_is_silent(self, tmp_path):
         body = (

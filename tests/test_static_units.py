@@ -1,273 +1,48 @@
-"""Tests for the dimensional-analysis (UNIT) pass.
+"""Whole-program tests of the ``repro check`` engine.
 
-Covers the dimension lattice algebra, the ``@units`` spec grammar and
-runtime decorator, the seeded-bug corpus under ``tests/data/static/``,
-and the interprocedural summary engine — including the cross-module
-case only summaries can catch and the SCC fixpoint over recursion.
+The call graph behind the transitive DET020 worker-state rule must
+reach a fixpoint on recursive call chains, and the installed package
+must load and check clean under every pass.
 """
 
 from __future__ import annotations
 
 import textwrap
-from fractions import Fraction
-from pathlib import Path
 
-import pytest
-
-from repro.errors import ContractError
-from repro.static import (
-    check_paths,
-    format_dimension,
-    parse_unit,
-    parse_units_spec,
-    units,
-)
-from repro.static.engine import load_context
-from repro.static.unitcheck import (
-    DIMLESS,
-    LITERAL,
-    PENDING,
-    UNKNOWN,
-    UValue,
-    declared_summaries,
-    infer_summaries,
-    join,
-    merge_summary,
-    module_unit_facts,
-)
-
-CORPUS = Path(__file__).parent / "data" / "static"
-
-#: module stem -> the one code its seeded bug must produce
-EXPECTED = {
-    "unit001_mixed": "UNIT001",
-    "unit002_argdim": "UNIT002",
-    "unit003_return": "UNIT003",
-    "unit004_transcendental": "UNIT004",
-    "unit005_magic": "UNIT005",
-    "unit006_contract": "UNIT006",
-}
-
-
-def codes_in(*paths: Path) -> list[str]:
-    report = check_paths(list(paths), relative_to=CORPUS)
-    return [f.code for f in report.findings]
-
-
-# ----------------------------------------------------------------------
-# dimension algebra
-# ----------------------------------------------------------------------
-
-class TestDimensionAlgebra:
-    def test_electrical_identities(self):
-        J, C, V = parse_unit("J"), parse_unit("C"), parse_unit("V")
-        F, ohm, s = parse_unit("F"), parse_unit("ohm"), parse_unit("s")
-        assert C * V == J
-        assert C / F == V
-        assert C * C * ohm == J * s
-        assert J / (C * C * ohm) == parse_unit("1/s")
-
-    def test_fractional_powers(self):
-        J = parse_unit("J")
-        assert (J * J) ** Fraction(1, 2) == J
-        assert (J ** Fraction(1, 2)) ** 2 == J
-
-    def test_encode_decode_roundtrip(self):
-        for text in ("J", "1/s", "ohm", "C^2", "1", "J*s"):
-            dim = parse_unit(text)
-            assert type(dim).decode(dim.encode()) == dim
-
-    def test_format_prefers_derived_symbols(self):
-        assert format_dimension(parse_unit("J")) == "J"
-        assert format_dimension(parse_unit("C") / parse_unit("F")) == "V"
-
-    def test_parse_unit_rejects_unknown_symbol(self):
-        with pytest.raises(ContractError):
-            parse_unit("Jool")
-
-    def test_spec_errors(self):
-        with pytest.raises(ContractError):
-            parse_units_spec("energy: J ->")  # empty return
-        with pytest.raises(ContractError):
-            parse_units_spec("energy J")  # missing colon
-        with pytest.raises(ContractError):
-            parse_units_spec("e: J, e: K")  # duplicate parameter
-
-
-class TestLattice:
-    def test_join_identity_and_absorption(self):
-        joule = UValue(dim=parse_unit("J"))
-        assert join(PENDING, joule) == joule
-        assert join(joule, PENDING) == joule
-        assert join(LITERAL, joule) == joule
-        assert join(joule, LITERAL) == joule
-        assert join(joule, joule) == joule
-
-    def test_join_of_unlike_dimensions_is_unknown(self):
-        joule = UValue(dim=parse_unit("J"))
-        kelvin = UValue(dim=parse_unit("K"))
-        assert join(joule, kelvin) == UNKNOWN
-        assert join(joule, UNKNOWN) == UNKNOWN
-        assert join(DIMLESS, joule) == UNKNOWN
-
-    def test_merge_summary_collision_degrades_to_ambiguous(self):
-        facts = _facts_for(
-            """
-            from repro.static import units
-
-            @units("energy: J -> 1")
-            def f(energy):
-                return 0.5
-            """
-        )
-        (summary,) = declared_summaries(facts).values()
-        table = {}
-        assert merge_summary(table, "f", summary)
-        assert not merge_summary(table, "f", summary)  # same: no change
-        other = summary.__class__(
-            params=summary.params, n_positional=summary.n_positional,
-            has_vararg=summary.has_vararg, ret=parse_unit("K"),
-            declared=True,
-        )
-        assert merge_summary(table, "f", other)
-        assert table["f"] is None  # ambiguous -> silent
-
-
-# ----------------------------------------------------------------------
-# the runtime decorator
-# ----------------------------------------------------------------------
-
-class TestDecorator:
-    def test_attaches_contract_and_preserves_function(self):
-        @units("energy: J, temperature: K -> 1")
-        def f(energy, temperature):
-            return 42.0
-
-        assert f(1.0, 2.0) == pytest.approx(42.0)
-        contract = f.__units__
-        assert contract.param("energy") == parse_unit("J")
-        assert contract.ret == parse_unit("1")
-
-    def test_unknown_parameter_rejected_at_decoration(self):
-        with pytest.raises(ContractError):
-            @units("missing: J")
-            def f(energy):
-                return energy
-
-
-# ----------------------------------------------------------------------
-# seeded-bug corpus
-# ----------------------------------------------------------------------
-
-class TestSeededBugs:
-    @pytest.mark.parametrize("stem", sorted(EXPECTED))
-    def test_bug_module_yields_exactly_its_code(self, stem):
-        assert codes_in(CORPUS / f"{stem}.py") == [EXPECTED[stem]]
-
-    @pytest.mark.parametrize("stem", sorted(EXPECTED))
-    def test_clean_twin_is_silent(self, stem):
-        assert codes_in(CORPUS / f"{stem}_clean.py") == []
-
-    def test_cross_module_mismatch_needs_both_modules(self):
-        # the summary engine sees volts flow out of unit_cross_a into a
-        # joule-expecting contract in unit_cross_b ...
-        together = check_paths(
-            [CORPUS / "unit_cross_a.py", CORPUS / "unit_cross_b.py"],
-            relative_to=CORPUS,
-        )
-        assert [(f.relpath, f.code) for f in together.findings] == [
-            ("unit_cross_b.py", "UNIT002")
-        ]
-        # ... and without the defining module there is nothing to see
-        assert codes_in(CORPUS / "unit_cross_b.py") == []
-
-
-# ----------------------------------------------------------------------
-# summaries and the fixpoint
-# ----------------------------------------------------------------------
-
-def _facts_for(body: str, tmp_name: str = "mod.py"):
-    from repro.static.source import ModuleSource
-
-    text = textwrap.dedent(body).lstrip()
-    module = ModuleSource.parse_text(text, Path(tmp_name))
-    return module_unit_facts(module)
+from repro.static import check_paths, default_root
+from repro.static.engine import load_modules
 
 
 class TestSummaries:
-    def test_inferred_return_propagates(self):
-        # helper has no decorator; its K_B * t return must be inferred
-        # as joules and satisfy the caller's declared return
-        facts = _facts_for(
-            """
-            from repro.constants import K_B
-            from repro.static import units
-
-            def thermal(t):
-                return K_B * t
-
-            @units("temperature: K -> J")
-            def f(temperature):
-                return thermal(temperature)
-            """
-        )
-        table = dict(declared_summaries(facts))
-        summaries = infer_summaries(facts, table)
-        assert summaries["thermal"].ret is None  # t unknown: no dim yet
-        # in context the caller passes K, but inference is per-function
-        # with unconstrained params; the declared summary is kept as-is
-        assert summaries["f"].ret == parse_unit("J")
-        assert summaries["f"].declared
-
     def test_fixpoint_converges_on_recursion(self, tmp_path):
-        # mutually recursive pair with one declared anchor: the engine
-        # must stabilise and not loop or crash
+        # a mutually recursive pair reachable from a pool worker: the
+        # reachability closure must stabilise and not loop or crash
         (tmp_path / "a.py").write_text(textwrap.dedent(
             """
             from __future__ import annotations
 
-            from repro.static import units
 
-            @units("n: 1 -> J")
-            def even_energy(n):
-                return odd_energy(n - 1)
+            def even_depth(n):
+                return odd_depth(n - 1) if n > 0 else 0
 
-            def odd_energy(n):
-                return even_energy(n - 1)
+
+            def odd_depth(n):
+                return even_depth(n - 1) if n > 0 else 1
+
+
+            def work(n):
+                return even_depth(n)
+
+
+            def launch(pool, items):
+                return pool.execute_shards(work, items)
             """
         ).lstrip())
         report = check_paths([tmp_path], relative_to=tmp_path)
         assert [f.code for f in report.findings] == []
 
-    def test_interprocedural_violation_same_module(self, tmp_path):
-        (tmp_path / "a.py").write_text(textwrap.dedent(
-            """
-            from __future__ import annotations
-
-            from repro.static import units
-
-            @units("resistance: ohm -> V")
-            def drop(resistance):
-                return resistance * 2.0
-
-            @units("energy: J -> 1")
-            def weight(energy):
-                return 0.5
-
-            def use(resistance):
-                return weight(drop(resistance))
-            """
-        ).lstrip())
-        report = check_paths([tmp_path], relative_to=tmp_path)
-        codes = sorted(f.code for f in report.findings)
-        assert codes == ["UNIT002", "UNIT003"]
-        # UNIT003: drop() returns ohm (resistance * literal), not V;
-        # UNIT002: its declared V return still reaches weight(energy: J)
-
     def test_annotated_repo_is_clean(self):
-        from repro.static import default_root
-
-        ctx = load_context([default_root()])
-        assert ctx.modules  # sanity: the package was found
+        modules = load_modules([default_root()])
+        assert modules  # sanity: the package was found
         report = check_paths([default_root()])
         assert [f.code for f in report.findings] == []
