@@ -219,6 +219,12 @@ class Electrostatics:
         """The Maxwell capacitance matrix over islands (dense copy)."""
         return self._cmat.toarray()
 
+    @property
+    def cinv(self) -> np.ndarray:
+        """``C^-1`` (read-only; C-ordered on the dense backend,
+        Fortran-ordered on the sparse one)."""
+        return self._cinv
+
     def cinv_column(self, island: int) -> np.ndarray:
         """Column ``island`` of ``C^-1`` (a read-only view)."""
         return self._cinv[:, island]

@@ -18,7 +18,9 @@ this CLI reproduces that workflow:
 ``python -m repro info deck.txt``
     Parse and validate a deck, reporting the circuit statistics and a
     one-line static-analysis summary.  ``--probe N`` additionally runs
-    ``N`` tunnel events and prints the solver work-counter table.
+    ``N`` tunnel events and prints which adaptive step ran (the native
+    kernel and its library, or Python and why) and the solver
+    work-counter table.
 ``python -m repro profile deck.txt --trace out.json``
     Run the deck under the telemetry layer and print a profiling
     summary (per-phase wall time, solver work counters, adaptive
@@ -220,7 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
     info.add_argument("deck", type=Path)
     info.add_argument(
         "--probe", type=int, default=0, metavar="N",
-        help="run N tunnel events and print the solver stats table",
+        help="run N tunnel events and print which adaptive step ran "
+             "(native kernel or Python, and why) and the solver stats "
+             "table",
     )
 
     profile = sub.add_parser(
@@ -900,10 +904,12 @@ def _cmd_info(args) -> int:
         summary += f" (run 'repro lint {args.deck}' for details)"
     print(f"  lint:           {summary}")
     if args.probe > 0:
-        from repro.core import MonteCarloEngine
+        from repro.core import AdaptiveSolver, MonteCarloEngine
 
         engine = MonteCarloEngine(circuit, deck.config())
         engine.run(max_jumps=args.probe)
+        if isinstance(engine.solver, AdaptiveSolver):
+            print(f"  adaptive step:  {engine.solver.step_path}")
         print(engine.solver.stats.format_table(
             f"solver stats ({args.probe}-event probe)"
         ))

@@ -23,6 +23,14 @@ changed appreciably have their rates recomputed:
 4. every ``full_refresh_interval`` events all rates are recomputed,
    bounding the cumulative error.
 
+On normal-state circuits without secondary channels each event is one
+call into a C kernel (:mod:`repro.core.native`, ``fused_step.c``): the
+draw, the tree sample, the potential update, the test walk, the scalar
+recompute and the tree repair, with the same IEEE operations as the
+Python methods below, over the same buffers.  The Python methods are
+the reference and the fallback when the kernel cannot be built; both
+realise the same events, bit for bit.
+
 Secondary channels (cotunneling, Cooper pairs) are recomputed every
 iteration from the exact potentials, exactly as the paper prescribes
 ("a non-adaptive solver is used to calculate the tunnel rate
@@ -31,6 +39,7 @@ information specific to these effects").
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -39,6 +48,7 @@ from repro.circuit.circuit import Circuit
 from repro.circuit.electrostatics import Electrostatics
 from repro.circuit.junction_table import JunctionTable
 from repro.constants import E_CHARGE, K_B
+from repro.core import native
 from repro.core.base import BaseSolver
 from repro.core.config import SimulationConfig
 from repro.core.event_solver import draw_time
@@ -50,7 +60,11 @@ from repro.telemetry import registry as _telemetry
 
 
 class AdaptiveSolver(BaseSolver):
-    """Selective-update MC solver (the paper's Algorithm 1)."""
+    """Selective-update MC solver (the paper's Algorithm 1).
+
+    ``step_path`` says which per-event step runs: ``native (<library>)``
+    or ``python (<reason>)``.
+    """
 
     def __init__(
         self,
@@ -71,6 +85,8 @@ class AdaptiveSolver(BaseSolver):
             np.asarray(nbrs, dtype=np.intp) for nbrs in self._neighbors
         ]
         self._zero_ext = np.zeros(circuit.n_external)
+        # retargets write the source voltages in place
+        self.vext = np.array(self.vext, dtype=float)
         # plain-Python endpoint views for the scalar hot path (numpy
         # element access is several times slower than list access)
         self._a_isl_list = junction_table.a_is_island.tolist()
@@ -78,9 +94,8 @@ class AdaptiveSolver(BaseSolver):
         self._b_isl_list = junction_table.b_is_island.tolist()
         self._b_idx_list = junction_table.b_index.tolist()
         self._resistance_list = junction_table.resistance.tolist()
-        self._charging_list = (
-            0.5 * E_CHARGE * E_CHARGE * junction_table.charging
-        ).tolist()
+        self._charging = 0.5 * E_CHARGE * E_CHARGE * junction_table.charging
+        self._charging_list = self._charging.tolist()
         # O(log J) sampling tree, usable when the only channels are the
         # sequential pairs (secondary channels are recomputed globally
         # every iteration anyway, so they keep the plain path)
@@ -99,12 +114,14 @@ class AdaptiveSolver(BaseSolver):
         self._a_index = junction_table.a_index
         self._b_is_island = junction_table.b_is_island
         self._b_index = junction_table.b_index
-        # Algorithm 1's per-junction testing state, in plain Python
-        # floats for the scalar walk: the testing factor b0 and the test
-        # limit (lambda / e) * min(|dW_fw|, |dW_bw|, cap), written
-        # wherever the junction's rate is written
-        self._b0 = [0.0] * self.n_junctions
-        self._limit = [0.0] * self.n_junctions
+        # Algorithm 1's per-junction testing state: the testing factor
+        # b0 and the test limit (lambda / e) * min(|dW_fw|, |dW_bw|,
+        # cap), written wherever the junction's rate is written.  These
+        # buffers, like the potentials, free energies, rates and tree
+        # nodes, are allocated once and written in place: the C kernel
+        # holds their addresses
+        self._b0 = np.zeros(self.n_junctions)
+        self._limit = np.zeros(self.n_junctions)
         self._events_since_refresh = 0
         self._v = np.zeros(circuit.n_islands)
         self._dw_fw = np.zeros(self.n_junctions)
@@ -112,22 +129,109 @@ class AdaptiveSolver(BaseSolver):
         self._seq_fw = np.zeros(self.n_junctions)
         self._seq_bw = np.zeros(self.n_junctions)
         self._full_refresh()
+        self._kernel = self._bind_kernel()
+
+    def _bind_kernel(self) -> native.Kernel | None:
+        """The C kernel's view of this solver's buffers, or ``None``
+        when the Python path runs: superconducting or secondary-channel
+        models, a neighbour list that makes a seed list longer than the
+        scalar walk takes, or a kernel that could not be built.  Sets
+        :attr:`step_path` to say which."""
+        tree = self._tree
+        if tree is None or self.model.superconducting:
+            self.step_path = "python (superconducting or secondary-channel model)"
+            return None
+        if max(map(len, self._neighbors), default=0) + 1 > 256:
+            self.step_path = "python (an event's seed list exceeds 256 junctions)"
+            return None
+        library = native.load()
+        self.step_path = library.describe()
+        if library.step is None:
+            return None
+        n = self.n_junctions
+        int64 = np.int64
+        neighbor_start = np.zeros(n + 1, dtype=int64)
+        np.cumsum([len(nbrs) for nbrs in self._neighbors], out=neighbor_start[1:])
+        cinv = self.stat.cinv
+        self._flagged = np.zeros(n, dtype=int64)
+        buffers = {
+            "a_isl": self._a_is_island.astype(int64),
+            "a_idx": self._a_index.astype(int64),
+            "b_isl": self._b_is_island.astype(int64),
+            "b_idx": self._b_index.astype(int64),
+            "nbr_start": neighbor_start,
+            "nbr_list": np.array(
+                [j for nbrs in self._neighbors for j in nbrs], dtype=int64
+            ),
+            "charging": self._charging,
+            "resistance": np.ascontiguousarray(self.table.resistance, dtype=float),
+            "cinv": cinv,
+            "v": self._v,
+            "vext": self.vext,
+            "dw_fw": self._dw_fw,
+            "dw_bw": self._dw_bw,
+            "seq_fw": self._seq_fw,
+            "seq_bw": self._seq_bw,
+            "b0": self._b0,
+            "limit": self._limit,
+            "tree": tree.nodes,
+            "dv": np.zeros(self.stat.n_islands),
+            "queue": np.zeros(n, dtype=int64),
+            "queued": np.zeros(n, dtype=np.uint8),
+            "flagged": self._flagged,
+        }
+        kernel = native.Kernel(
+            rng=self.rng.bit_generator.ctypes.bit_generator.value,
+            n_junctions=n,
+            n_islands=self.stat.n_islands,
+            tree_size=tree._size,
+            cinv_row=cinv.strides[0] // cinv.itemsize,
+            cinv_col=cinv.strides[1] // cinv.itemsize,
+            kt=K_B * self.model.temperature,
+            charge=E_CHARGE,
+            scale=self.config.adaptive_threshold / E_CHARGE,
+            cap=self._energy_cap,
+            dq=-E_CHARGE,
+        )
+        pointer_types = dict(native.Kernel._fields_)
+        for name, array in buffers.items():
+            setattr(kernel, name, array.ctypes.data_as(pointer_types[name]))
+        # the struct holds raw addresses: keep the arrays alive with it
+        self._kernel_buffers = buffers
+        self._native_step = library.step
+        self._native_finish = library.finish
+        self._kernel_address = ctypes.addressof(kernel)
+        return kernel
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The solver's random stream (the kernel draws from it too)."""
+        return self._rng
+
+    @rng.setter
+    def rng(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        kernel = getattr(self, "_kernel", None)
+        if kernel is not None:
+            kernel.rng = rng.bit_generator.ctypes.bit_generator.value
 
     # ------------------------------------------------------------------
     # cache maintenance
     # ------------------------------------------------------------------
     def _full_refresh(self) -> None:
         """Recompute potentials, free energies and all sequential rates."""
-        self._v = self.stat.potentials(self.occupation, self.vext)
+        self._v[:] = self.stat.potentials(self.occupation, self.vext)
         self.stats.potential_solves += 1
-        self._dw_fw, self._dw_bw = self.table.free_energy_changes(self._v, self.vext)
-        self._seq_fw, self._seq_bw = self.model.sequential_rates(
+        self._dw_fw[:], self._dw_bw[:] = self.table.free_energy_changes(
+            self._v, self.vext
+        )
+        self._seq_fw[:], self._seq_bw[:] = self.model.sequential_rates(
             self._dw_fw, self._dw_bw
         )
         self.stats.sequential_rate_evaluations += 2 * self.n_junctions
         self.stats.full_refreshes += 1
-        self._b0 = [0.0] * self.n_junctions
-        self._limit = self._limits(self._dw_fw, self._dw_bw)
+        self._b0.fill(0.0)
+        self._limit[:] = self._limits(self._dw_fw, self._dw_bw)
         self._events_since_refresh = 0
         if self._fast:
             if self._tree is None:
@@ -135,7 +239,7 @@ class AdaptiveSolver(BaseSolver):
             else:
                 self._tree.rebuild(self._seq_fw, self._seq_bw)
 
-    def _limits(self, dw_fw: np.ndarray, dw_bw: np.ndarray) -> list[float]:
+    def _limits(self, dw_fw: np.ndarray, dw_bw: np.ndarray) -> np.ndarray:
         """Test limits ``(lambda / e) * min(|dW_fw|, |dW_bw|, cap)`` for
         a full refresh; the same IEEE operations as the recomputes'
         scalar ``scale * min(abs(dwf), abs(dwb), cap)``, so both give
@@ -144,7 +248,7 @@ class AdaptiveSolver(BaseSolver):
         smaller = np.minimum(
             np.minimum(np.abs(dw_fw), np.abs(dw_bw)), self._energy_cap
         )
-        return (scale * smaller).tolist()
+        return scale * smaller
 
     def _recompute_junctions(self, indices) -> None:
         """Recompute free energies and rates for flagged junctions only."""
@@ -158,6 +262,32 @@ class AdaptiveSolver(BaseSolver):
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size == 0:
             return
+        dw_fw, dw_bw = self._recompute_rates(idx)
+        self.stats.sequential_rate_evaluations += 2 * idx.size
+        self.stats.flagged_recalculations += idx.size
+        if self._kernel is not None:
+            # the C tail: the same scalar limits and batched tree repair
+            self._flagged[: idx.size] = idx
+            self._kernel.n_flagged = idx.size
+            self._native_finish(self._kernel_address)
+            return
+        leaves = idx.tolist()
+        scale = self.config.adaptive_threshold / E_CHARGE
+        cap = self._energy_cap
+        b0, limit = memoryview(self._b0), memoryview(self._limit)
+        # scalar limits: a superconducting event flags one or two
+        # junctions, where numpy's per-call overhead would dominate
+        for j, dwf, dwb in zip(leaves, dw_fw.tolist(), dw_bw.tolist()):
+            b0[j] = 0.0
+            limit[j] = scale * min(abs(dwf), abs(dwb), cap)
+        if self._tree is not None:
+            self._tree.update(
+                leaves, (self._seq_fw[idx] + self._seq_bw[idx]).tolist()
+            )
+
+    def _recompute_rates(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write the free energies and rates of junctions ``idx`` with
+        numpy; returns the free energies."""
         phi_a = np.where(
             self._a_is_island[idx],
             self._v[np.minimum(self._a_index[idx], len(self._v) - 1)],
@@ -185,21 +315,7 @@ class AdaptiveSolver(BaseSolver):
                 j = int(j)
                 self._seq_fw[j] = self.model.sequential_rate_single(j, dw_fw[pos])
                 self._seq_bw[j] = self.model.sequential_rate_single(j, dw_bw[pos])
-        leaves = idx.tolist()
-        scale = self.config.adaptive_threshold / E_CHARGE
-        cap = self._energy_cap
-        b0, limit = self._b0, self._limit
-        # scalar limits: a superconducting event flags one or two
-        # junctions, where numpy's per-call overhead would dominate
-        for j, dwf, dwb in zip(leaves, dw_fw.tolist(), dw_bw.tolist()):
-            b0[j] = 0.0
-            limit[j] = scale * min(abs(dwf), abs(dwb), cap)
-        if self._tree is not None:
-            self._tree.update(
-                leaves, (self._seq_fw[idx] + self._seq_bw[idx]).tolist()
-            )
-        self.stats.sequential_rate_evaluations += 2 * idx.size
-        self.stats.flagged_recalculations += idx.size
+        return dw_fw, dw_bw
 
     def _recompute_scalar(self, indices: list) -> None:
         """Scalar-math recompute for the few junctions a tunnel event
@@ -218,7 +334,9 @@ class AdaptiveSolver(BaseSolver):
         resistance = self._resistance_list
         fw_arr, bw_arr = self._seq_fw, self._seq_bw
         dwf_arr, dwb_arr = self._dw_fw, self._dw_bw
-        b0, limit = self._b0, self._limit
+        # memoryviews index to plain floats, several times faster than
+        # numpy element access
+        b0, limit = memoryview(self._b0), memoryview(self._limit)
         pair_rates = []
         e2 = e * e
 
@@ -291,7 +409,7 @@ class AdaptiveSolver(BaseSolver):
         if len(seeds) > 256:
             self._adaptive_update_vector(dv, dvext, seeds)
             return
-        b0, limit = self._b0, self._limit
+        b0, limit = memoryview(self._b0), memoryview(self._limit)
         a_isl, a_idx = self._a_isl_list, self._a_idx_list
         b_isl, b_idx = self._b_isl_list, self._b_idx_list
         neighbors = self._neighbors
@@ -332,7 +450,7 @@ class AdaptiveSolver(BaseSolver):
         if dvext is None:
             dvext = self._zero_ext
         visited = np.zeros(self.n_junctions, dtype=bool)
-        b0 = np.array(self._b0)
+        b0 = self._b0
         flagged_parts: list[np.ndarray] = []
         frontier = np.unique(np.asarray(seeds, dtype=np.intp))
         while frontier.size:
@@ -363,7 +481,6 @@ class AdaptiveSolver(BaseSolver):
                 )
             else:
                 break
-        self._b0 = b0.tolist()
         if flagged_parts:
             self._recompute_junctions(np.concatenate(flagged_parts))
 
@@ -371,6 +488,8 @@ class AdaptiveSolver(BaseSolver):
     # solver interface
     # ------------------------------------------------------------------
     def _step_impl(self, deadline: float | None = None) -> TunnelEvent | None:
+        if self._kernel is not None:
+            return self._step_native(self._kernel, deadline)
         if self._fast:
             event = self._select_fast(deadline)
         else:
@@ -393,6 +512,40 @@ class AdaptiveSolver(BaseSolver):
 
         seeds = self._event_seeds(event)
         self._adaptive_update(dv, None, seeds)
+        return event
+
+    def _step_native(
+        self, kernel: native.Kernel, deadline: float | None
+    ) -> TunnelEvent | None:
+        """One event through the C kernel; Python commits it."""
+        walk = self._events_since_refresh + 1 < self.config.full_refresh_interval
+        if deadline is None:
+            status = self._native_step(self._kernel_address, self.time, 0.0, 0, walk)
+        else:
+            status = self._native_step(
+                self._kernel_address, self.time, deadline, 1, walk
+            )
+            if status == native.STEP_DEADLINE:
+                self._advance_time(deadline - self.time)
+                return None
+        if status == native.STEP_FROZEN:
+            # nothing drawn: the Python draw raises FrozenCircuitError,
+            # or advances to the deadline, without touching the stream
+            return self._select_fast(deadline)
+        event = TunnelEvent(
+            EventKind.SEQUENTIAL, kernel.junction, 1 if kernel.forward else -1,
+            1, kernel.dw,
+        )
+        self._commit_event(event, kernel.dt)
+        self._events_since_refresh += 1
+        if not walk:
+            self._full_refresh()
+            return event
+        if status == native.STEP_RECOMPUTE:
+            self._recompute_junctions(self._flagged[: kernel.n_flagged])
+        else:
+            self.stats.sequential_rate_evaluations += 2 * kernel.n_flagged
+            self.stats.flagged_recalculations += kernel.n_flagged
         return event
 
     def _select_fast(self, deadline: float | None = None) -> TunnelEvent | None:
@@ -457,7 +610,7 @@ class AdaptiveSolver(BaseSolver):
             return
         dv = self.stat.source_potential_update(dvext)
         self._v += dv
-        self.vext = vext.copy()
+        self.vext[:] = vext
         reg = _telemetry.ACTIVE
         flagged_before = self.stats.flagged_recalculations
         self._adaptive_update(dv, dvext, list(range(self.n_junctions)))

@@ -11,7 +11,7 @@ from repro.circuit.electrostatics import Electrostatics
 from repro.circuit.junction_table import JunctionTable
 from repro.constants import E_CHARGE
 from repro.core.config import SimulationConfig
-from repro.core.event_solver import choose_pair, draw_time
+from repro.core.event_solver import choose_channel, choose_pair, draw_time
 from repro.core.events import EventKind, TunnelEvent
 from repro.errors import SimulationError
 from repro.physics.rates import TunnelingModel
@@ -222,11 +222,7 @@ class BaseSolver:
                     EventKind.SEQUENTIAL, j, -1, 1, float(seq_dw_bw[j])
                 )
         else:
-            cumulative = np.cumsum(secondary_rates)
-            index = int(
-                np.searchsorted(cumulative, target - pair_total, side="right")
-            )
-            index = min(index, len(secondary_payloads) - 1)
+            index = choose_channel(secondary_rates, target - pair_total)
             kind, payload, direction, dw = secondary_payloads[index]
             if kind is EventKind.COTUNNELING:
                 event = TunnelEvent(

@@ -31,13 +31,33 @@ def draw_time(total_rate: float, rng: np.random.Generator) -> float:
 
 def choose_event(rates: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an event index with probability proportional to its rate."""
-    cumulative = np.cumsum(rates)
-    total = cumulative[-1]
+    total = np.cumsum(rates)[-1]
     if total <= 0.0:
         raise FrozenCircuitError("cannot choose an event: all rates are zero")
-    target = rng.random() * total
+    return choose_channel(rates, rng.random() * total)
+
+
+def choose_channel(rates: np.ndarray, target: float) -> int:
+    """Channel whose interval of the cumulative ``rates`` holds
+    ``target``.
+
+    A target that rounding carries past the top of the cumulative sum
+    (the caller's total may be a differently ordered sum) takes the
+    last channel with a positive rate, never a zero-rate one.
+    """
+    cumulative = np.cumsum(rates)
     index = int(np.searchsorted(cumulative, target, side="right"))
-    return min(index, len(rates) - 1)
+    if index >= len(rates):
+        index = _last_positive(rates, len(rates) - 1)
+    return index
+
+
+def _last_positive(rates: np.ndarray, index: int) -> int:
+    """The last index at or below ``index`` with a positive rate (0
+    when there is none)."""
+    while index > 0 and not rates[index] > 0.0:
+        index -= 1
+    return index
 
 
 def choose_pair(
@@ -57,8 +77,6 @@ def choose_pair(
     j = int(np.searchsorted(cumulative, target, side="right"))
     residual = target - (cumulative[j - 1] if j else 0.0)
     if j >= len(pair) or not residual < pair[j]:
-        j = min(j, len(pair) - 1)
-        while j > 0 and not pair[j] > 0.0:
-            j -= 1
+        j = _last_positive(pair, min(j, len(pair) - 1))
         residual = math.nextafter(pair[j], 0.0)
     return j, bool(residual < fw[j])

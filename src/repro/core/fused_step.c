@@ -1,0 +1,267 @@
+/* One event of the adaptive solver (Algorithm 1) for normal-state
+ * circuits, fused into a single call.
+ *
+ * The call draws the residence time and the event from the solver's own
+ * numpy bit generator, samples the pair-rate tree, updates the island
+ * potentials from two columns of C^-1, runs the breadth-first test of
+ * Algorithm 1 against the stored test limits, recomputes the flagged
+ * junctions' orthodox rates and repairs the sampling tree once.  The
+ * caller (repro/core/adaptive.py) builds the TunnelEvent and commits it:
+ * clocks, occupation, flux and the event-stream digest stay in Python.
+ *
+ * Every floating-point operation is the one the Python path
+ * (AdaptiveSolver._select_fast, Electrostatics.potential_update,
+ * _adaptive_update, _recompute_scalar, PairRateTree) performs, in the
+ * same order, so both paths give the same bits.  Build with
+ * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
+ * CPython's math.log and math.expm1 call the same libm functions.
+ */
+#include <math.h>
+#include <stdint.h>
+
+/* numpy's bitgen_t (numpy/random/bitgen.h) */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* Mirrored field for field by repro.core.native.Kernel. */
+typedef struct {
+    bitgen_t *rng;
+    int64_t n_junctions;
+    int64_t n_islands;
+    int64_t tree_size;
+    /* junction endpoints: island flag (0/1) and island or source index */
+    const int64_t *a_isl, *a_idx, *b_isl, *b_idx;
+    /* junction neighbours in CSR form */
+    const int64_t *nbr_start, *nbr_list;
+    /* 0.5 e^2 (K_aa - 2 K_ab + K_bb) and tunnel resistance per junction */
+    const double *charging, *resistance;
+    /* C^-1 and its element strides: entry (i, k) is cinv[i*row + k*col] */
+    const double *cinv;
+    int64_t cinv_row, cinv_col;
+    /* solver state, shared with the Python path */
+    double *v, *vext, *dw_fw, *dw_bw, *seq_fw, *seq_bw, *b0, *limit, *tree;
+    /* scratch: potential change, walk queue, queued marks, flagged list */
+    double *dv;
+    int64_t *queue;
+    uint8_t *queued;
+    int64_t *flagged;
+    /* k_B T, e, lambda / e, energy cap, transferred charge -e */
+    double kt, charge, scale, cap, dq;
+    /* outputs of the last step */
+    int64_t junction, forward, n_flagged;
+    double dt, dw;
+} Kernel;
+
+enum {
+    STEP_EVENT = 0,     /* event drawn and Algorithm 1 applied */
+    STEP_FROZEN = 1,    /* total rate <= 0: nothing drawn */
+    STEP_DEADLINE = 2,  /* dt drawn and beyond the deadline: no event */
+    STEP_RECOMPUTE = 3  /* event drawn, > SCALAR_BATCH junctions flagged:
+                           the caller computes their rates with numpy,
+                           then calls repro_finish */
+};
+
+/* Largest flagged batch whose rates are computed here; AdaptiveSolver
+ * computes larger ones with numpy (whose expm1 may round differently
+ * from libm's), so this must match it. */
+#define SCALAR_BATCH 64
+
+/* PairRateTree.sample: the junction whose interval holds target and the
+ * residual within its pair, with the top-of-range rule. */
+static int64_t sample(const Kernel *k, double target, double *residual)
+{
+    const double *tree = k->tree;
+    int64_t size = k->tree_size;
+    int64_t i = 1;
+    while (i < size) {
+        double left = tree[2 * i];
+        if (target < left) {
+            i = 2 * i;
+        } else {
+            target -= left;
+            i = 2 * i + 1;
+        }
+    }
+    int64_t j = i - size;
+    if (j >= k->n_junctions || !(target < tree[i])) {
+        if (j > k->n_junctions - 1)
+            j = k->n_junctions - 1;
+        while (j > 0 && !(tree[size + j] > 0.0))
+            j -= 1;
+        target = nextafter(tree[size + j], 0.0);
+    }
+    *residual = target;
+    return j;
+}
+
+/* The orthodox rate of one direction (_recompute_scalar). */
+static double orthodox(double dw, double kt, double denominator)
+{
+    if (kt > 0.0) {
+        double x = dw / kt;
+        if (x > 500.0)
+            return 0.0;
+        if (-1e-12 < x && x < 1e-12)
+            return kt / denominator;
+        return dw / expm1(x) / denominator;
+    }
+    return dw < 0.0 ? -dw / denominator : 0.0;
+}
+
+/* The tail of every recompute of flagged[0:n], whose free energies and
+ * rates are already written: zero the testing factors, store the test
+ * limits and repair the sampling tree once (PairRateTree.update): every
+ * repaired node is the sum of its final children, level by level. */
+static void finish(Kernel *k, int64_t n)
+{
+    double *tree = k->tree;
+    int64_t size = k->tree_size;
+    /* the walk queue is free once the walk is over */
+    int64_t *nodes = k->queue;
+    for (int64_t m = 0; m < n; m++) {
+        int64_t i = k->flagged[m];
+        k->b0[i] = 0.0;
+        /* Python's min(|dwf|, |dwb|, cap): the first smallest */
+        double smaller = fabs(k->dw_fw[i]);
+        if (fabs(k->dw_bw[i]) < smaller)
+            smaller = fabs(k->dw_bw[i]);
+        if (k->cap < smaller)
+            smaller = k->cap;
+        k->limit[i] = k->scale * smaller;
+        tree[size + i] = k->seq_fw[i] + k->seq_bw[i];
+        nodes[m] = (size + i) >> 1;
+    }
+    /* all leaves sit at one depth; a one-leaf tree's leaf is the root */
+    while (n > 0 && nodes[0] > 0) {
+        for (int64_t m = 0; m < n; m++) {
+            int64_t p = nodes[m];
+            tree[p] = tree[2 * p] + tree[2 * p + 1];
+            nodes[m] = p >> 1;
+        }
+    }
+}
+
+/* _recompute_scalar over flagged[0:n]. */
+static void recompute(Kernel *k, int64_t n)
+{
+    const double e = k->charge;
+    const double e2 = e * e;
+    for (int64_t m = 0; m < n; m++) {
+        int64_t i = k->flagged[m];
+        double phi_a = k->a_isl[i] ? k->v[k->a_idx[i]] : k->vext[k->a_idx[i]];
+        double phi_b = k->b_isl[i] ? k->v[k->b_idx[i]] : k->vext[k->b_idx[i]];
+        double drop = phi_b - phi_a;
+        double self_energy = k->charging[i];
+        double dwf = -e * drop + self_energy;
+        double dwb = +e * drop + self_energy;
+        double denominator = e2 * k->resistance[i];
+        k->dw_fw[i] = dwf;
+        k->dw_bw[i] = dwb;
+        k->seq_fw[i] = orthodox(dwf, k->kt, denominator);
+        k->seq_bw[i] = orthodox(dwb, k->kt, denominator);
+    }
+    finish(k, n);
+}
+
+/* finish() for a batch whose rates the caller computed with numpy
+ * (STEP_RECOMPUTE, or a retarget's wide walk): flagged[0:n_flagged]. */
+void repro_finish(Kernel *k)
+{
+    finish(k, k->n_flagged);
+}
+
+/* Queue junction i for the walk unless it is already queued. */
+static int64_t push(Kernel *k, int64_t tail, int64_t i)
+{
+    if (!k->queued[i]) {
+        k->queued[i] = 1;
+        k->queue[tail++] = i;
+    }
+    return tail;
+}
+
+/* One event.  time/deadline/has_deadline mirror step(deadline): a draw
+ * with time + dt > deadline is discarded.  walk == 0 when the event is
+ * followed by a full refresh, which replaces Algorithm 1's update. */
+int64_t repro_step(Kernel *k, double time, double deadline,
+                   int64_t has_deadline, int64_t walk)
+{
+    double total = k->tree[1];
+    if (total <= 0.0)
+        return STEP_FROZEN;
+    /* draw_time */
+    double r = k->rng->next_double(k->rng->state);
+    while (r == 0.0)
+        r = k->rng->next_double(k->rng->state);
+    double dt = -log(r) / total;
+    k->dt = dt;
+    if (has_deadline && time + dt > deadline)
+        return STEP_DEADLINE;
+    double target = k->rng->next_double(k->rng->state) * total;
+    double residual;
+    int64_t j = sample(k, target, &residual);
+    int64_t forward = residual < k->seq_fw[j];
+    k->junction = j;
+    k->forward = forward;
+    k->dw = forward ? k->dw_fw[j] : k->dw_bw[j];
+    k->n_flagged = 0;
+
+    /* Electrostatics.potential_update from node src to node dst, then
+     * v += dv */
+    const int64_t src_isl = forward ? k->a_isl[j] : k->b_isl[j];
+    const int64_t src = forward ? k->a_idx[j] : k->b_idx[j];
+    const int64_t dst_isl = forward ? k->b_isl[j] : k->a_isl[j];
+    const int64_t dst = forward ? k->b_idx[j] : k->a_idx[j];
+    const double *col_src = k->cinv + src * k->cinv_col;
+    const double *col_dst = k->cinv + dst * k->cinv_col;
+    const int64_t row = k->cinv_row;
+    const int64_t n_islands = k->n_islands;
+    const double dq = k->dq;
+    double *v = k->v, *dv = k->dv;
+    for (int64_t i = 0; i < n_islands; i++) {
+        double d = 0.0;
+        if (src_isl)
+            d = d - dq * col_src[i * row];
+        if (dst_isl)
+            d = d + dq * col_dst[i * row];
+        dv[i] = d;
+        v[i] = v[i] + d;
+    }
+    if (!walk)
+        return STEP_EVENT;
+
+    /* _adaptive_update: breadth-first from the event junction and its
+     * neighbours */
+    int64_t tail = push(k, 0, j);
+    for (int64_t p = k->nbr_start[j]; p < k->nbr_start[j + 1]; p++)
+        tail = push(k, tail, k->nbr_list[p]);
+    int64_t n_flagged = 0;
+    for (int64_t head = 0; head < tail; head++) {
+        int64_t i = k->queue[head];
+        double change = 0.0;
+        if (k->b_isl[i])
+            change += k->dv[k->b_idx[i]];
+        if (k->a_isl[i])
+            change -= k->dv[k->a_idx[i]];
+        double b = k->b0[i] + change;
+        if (fabs(b) >= k->limit[i]) {
+            k->flagged[n_flagged++] = i;
+            for (int64_t p = k->nbr_start[i]; p < k->nbr_start[i + 1]; p++)
+                tail = push(k, tail, k->nbr_list[p]);
+        } else {
+            k->b0[i] = b;
+        }
+    }
+    for (int64_t head = 0; head < tail; head++)
+        k->queued[k->queue[head]] = 0;
+    k->n_flagged = n_flagged;
+    if (n_flagged > SCALAR_BATCH)
+        return STEP_RECOMPUTE;
+    recompute(k, n_flagged);
+    return STEP_EVENT;
+}

@@ -1,0 +1,170 @@
+"""Loader of the adaptive solver's fused event kernel (``fused_step.c``).
+
+The C file is compiled on first use with the system C compiler into the
+repro cache directory (:func:`repro.monitor.ledger.repro_cache_dir`),
+under a name keyed by the SHA-256 of the source, the compiler command
+and the Python ABI tag, so each machine compiles it once.  The compiler
+writes a temporary file that is then renamed into place, so processes
+compiling at the same time on a cold cache each load a complete
+library.  When no compiler is found, or compiling or loading fails,
+:func:`load` reports why and :class:`~repro.core.adaptive.AdaptiveSolver`
+runs its Python path, which realises the same events bit for bit.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import dataclasses
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+from typing import Any
+
+SOURCE = Path(__file__).with_name("fused_step.c")
+
+#: No contraction into fused multiply-adds and no fast-math: every
+#: operation must round as the Python path's does.
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: Return codes of ``repro_step`` (the ``STEP_*`` enum of the C file).
+STEP_EVENT, STEP_FROZEN, STEP_DEADLINE, STEP_RECOMPUTE = range(4)
+
+_double_p = ctypes.POINTER(ctypes.c_double)
+_int64_p = ctypes.POINTER(ctypes.c_int64)
+
+
+class Kernel(ctypes.Structure):
+    """The C ``Kernel`` struct, field for field: pointers into the
+    solver's numpy buffers, scalar constants and the last step's
+    outputs."""
+
+    _fields_ = [
+        ("rng", ctypes.c_void_p),
+        ("n_junctions", ctypes.c_int64),
+        ("n_islands", ctypes.c_int64),
+        ("tree_size", ctypes.c_int64),
+        ("a_isl", _int64_p),
+        ("a_idx", _int64_p),
+        ("b_isl", _int64_p),
+        ("b_idx", _int64_p),
+        ("nbr_start", _int64_p),
+        ("nbr_list", _int64_p),
+        ("charging", _double_p),
+        ("resistance", _double_p),
+        ("cinv", _double_p),
+        ("cinv_row", ctypes.c_int64),
+        ("cinv_col", ctypes.c_int64),
+        ("v", _double_p),
+        ("vext", _double_p),
+        ("dw_fw", _double_p),
+        ("dw_bw", _double_p),
+        ("seq_fw", _double_p),
+        ("seq_bw", _double_p),
+        ("b0", _double_p),
+        ("limit", _double_p),
+        ("tree", _double_p),
+        ("dv", _double_p),
+        ("queue", _int64_p),
+        ("queued", ctypes.POINTER(ctypes.c_uint8)),
+        ("flagged", _int64_p),
+        ("kt", ctypes.c_double),
+        ("charge", ctypes.c_double),
+        ("scale", ctypes.c_double),
+        ("cap", ctypes.c_double),
+        ("dq", ctypes.c_double),
+        ("junction", ctypes.c_int64),
+        ("forward", ctypes.c_int64),
+        ("n_flagged", ctypes.c_int64),
+        ("dt", ctypes.c_double),
+        ("dw", ctypes.c_double),
+    ]
+
+
+@dataclasses.dataclass(frozen=True)
+class Native:
+    """Outcome of :func:`load`: the bound ``repro_step`` and
+    ``repro_finish`` functions and the library path, or ``step=None``
+    and the reason."""
+
+    step: Any
+    finish: Any
+    path: Path | None
+    reason: str = ""
+
+    def describe(self) -> str:
+        """One line: which adaptive step runs, and why or from where."""
+        if self.step is None:
+            return f"python ({self.reason})"
+        return f"native ({self.path})"
+
+
+def compiler() -> str | None:
+    """The C compiler to build with: ``cc``, else ``gcc``."""
+    return shutil.which("cc") or shutil.which("gcc")
+
+
+def library_path(cache_dir: Path, command: tuple[str, ...]) -> Path:
+    """Where the library built by ``command`` lives in ``cache_dir``."""
+    key = hashlib.sha256()
+    key.update(SOURCE.read_bytes())
+    key.update("\0".join(command).encode())
+    key.update(str(sysconfig.get_config_var("SOABI")).encode())
+    return cache_dir / "native" / f"fused_step-{key.hexdigest()[:20]}.so"
+
+
+def build() -> Path:
+    """Compile ``fused_step.c`` unless the cache already holds it;
+    returns the library path.  Raises ``OSError`` when there is no
+    compiler and ``subprocess.CalledProcessError`` when it fails."""
+    from repro.monitor.ledger import repro_cache_dir
+
+    cc = compiler()
+    if cc is None:
+        raise FileNotFoundError("no C compiler (cc or gcc) on PATH")
+    command = (cc, *FLAGS)
+    path = library_path(repro_cache_dir(), command)
+    if path.is_file():
+        return path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".so.tmp")
+    os.close(fd)
+    try:
+        subprocess.run(
+            [*command, str(SOURCE), "-o", tmp, "-lm"],
+            check=True, capture_output=True, timeout=300,
+        )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+@functools.cache
+def load() -> Native:
+    """Build (once per cache) and load the kernel; memoised per process."""
+    try:
+        path = build()
+        # PyDLL keeps the GIL across the call: the kernel writes arrays
+        # the interpreter owns
+        library = ctypes.PyDLL(str(path))
+        step, finish = library.repro_step, library.repro_finish
+    except (OSError, AttributeError, subprocess.SubprocessError) as exc:
+        detail = getattr(exc, "stderr", None)
+        reason = f"{type(exc).__name__}: {exc}"
+        if detail:
+            reason += f": {detail.decode(errors='replace').strip()}"
+        return Native(None, None, None, reason)
+    step.argtypes = [
+        ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int64, ctypes.c_int64,
+    ]
+    step.restype = ctypes.c_int64
+    finish.argtypes = [ctypes.c_void_p]
+    finish.restype = None
+    return Native(step, finish, path)

@@ -25,20 +25,29 @@ class PairRateTree:
         self._size = 1
         while self._size < self._n:
             self._size *= 2
-        # plain Python floats: scalar index/update is several times
-        # faster than numpy element access in the per-event hot path
-        self._tree = [0.0] * (2 * self._size)
+        #: node buffer: leaves at ``[size, 2 size)``, node ``i`` holds
+        #: node ``2i`` + node ``2i + 1``; allocated once, since the
+        #: adaptive solver's C kernel holds its address
+        self.nodes = np.zeros(2 * self._size)
+        # the per-event Python path indexes a memoryview: its elements
+        # are plain floats, several times faster than numpy's
+        self._tree = memoryview(self.nodes)
         self.rebuild(fw, bw)
 
     # ------------------------------------------------------------------
     def rebuild(self, fw: np.ndarray, bw: np.ndarray) -> None:
-        """Recompute the whole tree from fresh rate arrays (O(J))."""
-        values = np.zeros(self._size)
-        values[: self._n] = fw + bw
-        tree = self._tree
-        tree[self._size:] = values.tolist()
-        for i in range(self._size - 1, 0, -1):
-            tree[i] = tree[2 * i] + tree[2 * i + 1]
+        """Recompute the whole tree from fresh rate arrays (O(J)), one
+        numpy add per level; every parent is still left + right."""
+        nodes = self.nodes
+        width = self._size
+        nodes[width:width + self._n] = fw + bw
+        nodes[width + self._n:] = 0.0
+        while width > 1:
+            np.add(
+                nodes[width:2 * width:2], nodes[width + 1:2 * width:2],
+                out=nodes[width // 2:width],
+            )
+            width //= 2
 
     def update(self, leaves: list[int], pair_rates: list[float]) -> None:
         """Set the pair rates of a batch of junctions, then repair the

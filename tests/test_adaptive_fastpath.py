@@ -1,23 +1,33 @@
-"""The adaptive solver's scalar fast path against the loops it replaced.
+"""The adaptive solver's C event kernel against the Python loops.
 
-The per-event test reads a test limit stored when the junction's rate
-was computed, the recompute writes that limit, and the sampling tree is
-repaired once per flagged batch.  ``ReferenceAdaptiveSolver`` keeps the
-earlier loops: the threshold rebuilt from the stored free energies on
-every test, and one root-path repair per flagged junction.  Both must
-realise the same events and leave the same state, bit for bit.
+On normal-state circuits each event is one call into the C kernel of
+``repro.core.native`` (``fused_step.c``).  ``ReferenceAdaptiveSolver``
+runs the Python path, forced there by replacing the kernel loader, with
+the earlier loops on top: the threshold rebuilt from the stored free
+energies on every test, and one root-path repair per flagged junction.
+Both must realise the same events and leave the same state, bit for
+bit, and the fast engine must have run its events through the kernel.
 """
 
+import ctypes
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.circuit import Superconductor, build_set
 from repro.constants import E_CHARGE, K_B, MEV
-from repro.core import MonteCarloEngine, SimulationConfig
+from repro.core import MonteCarloEngine, SimulationConfig, Sine, run_with_waveforms
+from repro.core import native
 from repro.core.adaptive import AdaptiveSolver
+from repro.errors import FrozenCircuitError
 from repro.logic import build_benchmark, find_step_stimulus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def repair_leaf(tree, j, pair_rate):
@@ -31,11 +41,20 @@ def repair_leaf(tree, j, pair_rate):
         i //= 2
 
 
+def python_loader(monkeypatch):
+    """Make the kernel loader report a failed build, as on a machine
+    without a C compiler: solvers built meanwhile run the Python path."""
+    monkeypatch.setattr(
+        native, "load", lambda: native.Native(None, None, None, "disabled")
+    )
+
+
 class ReferenceAdaptiveSolver(AdaptiveSolver):
     """Algorithm 1's scalar path as written before the stored limits."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        assert self._kernel is None
         self.repaired_leaves = 0
         if self._tree is not None:
             # the numpy recompute's batch goes through per-leaf repairs too
@@ -147,15 +166,31 @@ class ReferenceAdaptiveSolver(AdaptiveSolver):
             self._recompute_junctions(flagged)
 
 
-def engine_pair(circuit, config, occupation=None):
+def engine_pair(monkeypatch, circuit, config, occupation=None):
     """Two engines on one circuit: the fast path and the reference."""
     fast = MonteCarloEngine(circuit, config, initial_occupation=occupation)
-    ref = MonteCarloEngine(circuit, config, initial_occupation=occupation)
-    ref.solver = ReferenceAdaptiveSolver(
-        circuit, ref.electrostatics, ref.junction_table, ref.model,
-        ref.config, ref.rng, occupation,
-    )
+    with monkeypatch.context() as patch:
+        python_loader(patch)
+        ref = MonteCarloEngine(circuit, config, initial_occupation=occupation)
+        ref.solver = ReferenceAdaptiveSolver(
+            circuit, ref.electrostatics, ref.junction_table, ref.model,
+            ref.config, ref.rng, occupation,
+        )
     return fast, ref
+
+
+def count_kernel_steps(solver) -> list:
+    """Record every call of ``solver``'s C step (one entry per call)."""
+    assert solver._kernel is not None, native.load().describe()
+    calls = []
+    step = solver._native_step
+
+    def counted(*args):
+        calls.append(args[3])  # has_deadline
+        return step(*args)
+
+    solver._native_step = counted
+    return calls
 
 
 def same_bits(a, b) -> bool:
@@ -167,6 +202,9 @@ def same_bits(a, b) -> bool:
 def assert_same_state(fast, ref):
     assert fast.event_hash() == ref.event_hash()
     f, r = fast.solver, ref.solver
+    assert f.time.hex() == r.time.hex()
+    assert np.array_equal(f.occupation, r.occupation)
+    assert np.array_equal(f.flux, r.flux)
     for name in ("_dw_fw", "_dw_bw", "_seq_fw", "_seq_bw", "_b0", "_v"):
         assert same_bits(getattr(f, name), getattr(r, name)), name
     if f._tree is None:
@@ -191,9 +229,11 @@ def run_toggled(fast, ref, vectors, blocks, events):
      (True, 0.05, None)],
     ids=["5K", "T0", "lambda0", "superconducting"],
 )
-def test_set_matches_reference(superconducting, temperature, threshold):
-    """The superconducting SET recomputes through the numpy path and
-    draws without the sampling tree."""
+def test_set_matches_reference(
+    monkeypatch, superconducting, temperature, threshold
+):
+    """The superconducting SET stays on the Python path, recomputes
+    through its numpy branch and draws without the sampling tree."""
     config = SimulationConfig(
         temperature=temperature, seed=11, event_hash=True,
         full_refresh_interval=1500,
@@ -203,18 +243,29 @@ def test_set_matches_reference(superconducting, temperature, threshold):
     superconductor = (
         Superconductor(delta0=0.2 * MEV, tc=1.2) if superconducting else None
     )
-    fast, ref = engine_pair(build_set(superconductor=superconductor), config)
+    fast, ref = engine_pair(
+        monkeypatch, build_set(superconductor=superconductor), config
+    )
+    if superconducting:
+        assert fast.solver._kernel is None
+    else:
+        kernel_steps = count_kernel_steps(fast.solver)
     vectors = (
         {"vs": 0.03, "vd": -0.03, "vg": 0.004},
         {"vs": 0.05, "vd": -0.05, "vg": -0.002},
     )
     run_toggled(fast, ref, vectors, blocks=8, events=400)
     assert fast.solver.stats.events == 3200
+    if not superconducting:
+        assert len(kernel_steps) == 3200
     assert fast.solver.stats.full_refreshes > 1
     assert (ref.solver.repaired_leaves > 0) == (not superconducting)
 
 
-def test_74ls280_matches_reference():
+def run_74ls280(monkeypatch, threshold, events):
+    """Toggle 74LS280's inputs on the kernel and the reference; returns
+    the fast solver's counts of vectorised walks and of numpy
+    recomputes (more than 64 junctions, or from a vectorised walk)."""
     mapped = build_benchmark("74LS280")
     stimulus = find_step_stimulus(mapped.netlist, 0)
     vectors = (
@@ -223,12 +274,15 @@ def test_74ls280_matches_reference():
     )
     config = SimulationConfig(
         temperature=mapped.params.temperature, seed=3, event_hash=True,
+        adaptive_threshold=threshold,
     )
     fast, ref = engine_pair(
-        mapped.circuit, config, mapped.initial_occupation(stimulus.before)
+        monkeypatch, mapped.circuit, config,
+        mapped.initial_occupation(stimulus.before),
     )
     seen = {"vector": 0, "numpy_recompute": 0}
     solver = fast.solver
+    kernel_steps = count_kernel_steps(solver)
     vector_walk = solver._adaptive_update_vector
     recompute = solver._recompute_junctions
 
@@ -243,10 +297,164 @@ def test_74ls280_matches_reference():
 
     solver._adaptive_update_vector = counting_vector
     solver._recompute_junctions = counting_recompute
-    run_toggled(fast, ref, vectors, blocks=6, events=500)
-    assert solver.stats.events == 3000
+    run_toggled(fast, ref, vectors, blocks=6, events=events)
+    assert solver.stats.events == 6 * events
+    assert len(kernel_steps) == 6 * events
+    return seen
+
+
+def test_74ls280_matches_reference(monkeypatch):
+    seen = run_74ls280(monkeypatch, SimulationConfig().adaptive_threshold, 500)
     assert seen["vector"] >= 6
     assert seen["numpy_recompute"] >= 1
+
+
+def test_74ls280_wide_flags_match_reference(monkeypatch):
+    """At lambda = 0 every tested junction is flagged, so each event
+    floods its component: more than 64 junctions, whose rates the
+    kernel leaves to the numpy recompute before it stores the limits
+    and repairs the tree itself."""
+    seen = run_74ls280(monkeypatch, 0.0, 150)
+    assert seen["numpy_recompute"] - seen["vector"] > 100
+
+
+def test_ac_drive_with_deadlines_matches_reference(monkeypatch):
+    """Waveform boundaries discard the draws that overshoot them: the
+    kernel makes the same ``time + dt > deadline`` comparison."""
+    config = SimulationConfig(temperature=5.0, seed=5, event_hash=True)
+    fast, ref = engine_pair(monkeypatch, build_set(vd=-0.03), config)
+    kernel_steps = count_kernel_steps(fast.solver)
+    drive = {"vs": Sine(amplitude=0.04, frequency=2e8), "vg": Sine(0.01, 1e8)}
+    results = [
+        run_with_waveforms(engine, drive, duration=2e-8, time_step=2e-10)
+        for engine in (fast, ref)
+    ]
+    assert results[0] == results[1]
+    assert results[0].discarded_boundaries > 50
+    assert results[0].events > 1000
+    assert all(kernel_steps) and len(kernel_steps) == (
+        results[0].events + results[0].discarded_boundaries
+    )
+    assert_same_state(fast, ref)
+
+
+def test_frozen_circuit_matches_reference(monkeypatch):
+    """At T = 0 with both leads at 1 V the island charges up and then
+    freezes: both paths raise at the same event, with the same stream."""
+    config = SimulationConfig(temperature=0.0, seed=1, event_hash=True)
+    fast, ref = engine_pair(monkeypatch, build_set(vs=1.0, vd=1.0), config)
+    kernel_steps = count_kernel_steps(fast.solver)
+    for engine in (fast, ref):
+        with pytest.raises(FrozenCircuitError):
+            engine.run(max_jumps=1000)
+    assert 0 < fast.solver.stats.events == ref.solver.stats.events
+    assert len(kernel_steps) == fast.solver.stats.events + 1
+    assert_same_state(fast, ref)
+
+
+def test_kernel_buffers_stay_in_place():
+    """The kernel holds raw addresses: full refreshes and retargets
+    write the solver's buffers in place."""
+    config = SimulationConfig(
+        temperature=5.0, seed=2, full_refresh_interval=50,
+    )
+    engine = MonteCarloEngine(build_set(vs=0.03, vd=-0.03), config)
+    solver = engine.solver
+    assert solver._kernel is not None, native.load().describe()
+    names = ("_v", "vext", "_dw_fw", "_dw_bw", "_seq_fw", "_seq_bw",
+             "_b0", "_limit", "_flagged")
+
+    def addresses():
+        found = {name: getattr(solver, name).ctypes.data for name in names}
+        found["tree"] = solver._tree.nodes.ctypes.data
+        return found
+
+    before = addresses()
+    engine.run(max_jumps=120)
+    assert solver.stats.full_refreshes >= 3
+    engine.set_sources({"vs": 0.05, "vd": -0.05, "vg": 0.003})
+    engine.run(max_jumps=10)
+    assert addresses() == before
+    for field, name in (("v", "_v"), ("vext", "vext"), ("b0", "_b0"),
+                        ("limit", "_limit"), ("tree", "tree")):
+        pointer = getattr(solver._kernel, field)
+        assert ctypes.cast(pointer, ctypes.c_void_p).value == before[name]
+
+
+def test_replaced_generator_feeds_the_kernel():
+    """Assigning ``solver.rng`` points the kernel at the new stream."""
+    hashes = []
+    for seed in (8, 9):
+        config = SimulationConfig(temperature=5.0, seed=seed, event_hash=True)
+        engine = MonteCarloEngine(build_set(vs=0.03, vd=-0.03), config)
+        engine.solver.rng = np.random.default_rng(8)
+        engine.run(max_jumps=500)
+        hashes.append(engine.event_hash())
+    assert hashes[0] == hashes[1]
+
+
+def run_hash(env: dict) -> tuple[str, str]:
+    """Which step ran, and the event hash, of a short SET run in a
+    fresh interpreter."""
+    code = (
+        "from repro.circuit import build_set\n"
+        "from repro.core import MonteCarloEngine, SimulationConfig, native\n"
+        "engine = MonteCarloEngine(build_set(vs=0.03, vd=-0.03), "
+        "SimulationConfig(temperature=5.0, seed=4, event_hash=True))\n"
+        "engine.run(max_jumps=2000)\n"
+        "print(native.load().describe())\n"
+        "print(engine.event_hash())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True, timeout=300,
+    ).stdout.split("\n")
+    return out[0], out[1]
+
+
+def test_concurrent_cold_builds_both_load(tmp_path):
+    """Two processes compiling into one empty cache both load a whole
+    library (each compiles to a temporary file and renames it)."""
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path), PYTHONPATH=str(SRC))
+    code = (
+        "from repro.core import native\n"
+        "print(native.load().describe())\n"
+    )
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for _ in range(2)
+    ]
+    outputs = [proc.communicate(timeout=300) for proc in procs]
+    for out, err in outputs:
+        assert out.startswith("native ("), out + err
+    libraries = list((tmp_path / "native").iterdir())
+    assert [p.suffix for p in libraries] == [".so"]
+
+
+def test_missing_compiler_falls_back_to_python(tmp_path, monkeypatch):
+    """Without a compiler the solver runs the Python path, and the
+    event stream is the kernel's."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(native, "compiler", lambda: None)
+    native.load.cache_clear()
+    try:
+        fallback = native.load()
+        assert fallback.step is None
+        assert "no C compiler" in fallback.describe()
+        config = SimulationConfig(temperature=5.0, seed=4, event_hash=True)
+        engine = MonteCarloEngine(build_set(vs=0.03, vd=-0.03), config)
+        assert engine.solver._kernel is None
+        engine.run(max_jumps=2000)
+    finally:
+        native.load.cache_clear()
+    assert not (tmp_path / "native").exists()
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    described, kernel_hash = run_hash(env)
+    assert described.startswith("native ("), described
+    assert engine.event_hash() == kernel_hash
 
 
 def reference_threshold(scale, cap, fw, bw):

@@ -209,6 +209,18 @@ class TestInfoProbe:
         assert "solver stats (200-event probe)" in out
         assert "full_refreshes" in out
 
+    def test_probe_names_the_adaptive_step(self, deck_file, capsys, monkeypatch):
+        from repro.core import native
+
+        assert main(["info", str(deck_file), "--probe", "20"]) == 0
+        expected = native.load().describe()
+        assert f"adaptive step:  {expected}" in capsys.readouterr().out
+        monkeypatch.setattr(
+            native, "load", lambda: native.Native(None, None, None, "no compiler")
+        )
+        assert main(["info", str(deck_file), "--probe", "20"]) == 0
+        assert "adaptive step:  python (no compiler)" in capsys.readouterr().out
+
 
 class TestProfile:
     def test_summary_and_chrome_trace(self, deck_file, tmp_path, capsys):

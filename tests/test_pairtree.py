@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.circuit import build_set
+from repro.core import SimulationConfig
+from repro.core.engine import MonteCarloEngine
 from repro.core.event_solver import choose_pair
+from repro.core.events import EventKind
 from repro.core.pairtree import PairRateTree
 
 
@@ -112,6 +116,32 @@ class TestBatchUpdate:
             assert same_nodes(batched, rebuilt)
 
 
+class TestRebuild:
+    @staticmethod
+    def loop_rebuild(fw, bw, size):
+        """The per-node loop the level-wise rebuild replaced."""
+        values = np.zeros(size)
+        values[: len(fw)] = fw + bw
+        tree = [0.0] * size + values.tolist()
+        for i in range(size - 1, 0, -1):
+            tree[i] = tree[2 * i] + tree[2 * i + 1]
+        return np.array(tree)
+
+    def test_levelwise_rebuild_matches_node_loop(self, rng):
+        """Rates over 40 decades with zeros and subnormals, on sizes
+        around powers of two; rebuilding over a used tree too."""
+        for n in (1, 2, 3, 7, 8, 9, 100, 1000, 1025):
+            tree = PairRateTree(np.zeros(n), np.zeros(n))
+            for _ in range(5):
+                fw = random_rates(rng, n)
+                bw = random_rates(rng, n)
+                subnormal = rng.random(n) < 0.15
+                fw[subnormal] = 5e-324 * rng.integers(1, 2**40, subnormal.sum())
+                tree.rebuild(fw, bw)
+                expected = self.loop_rebuild(fw, bw, tree._size)
+                assert np.asarray(tree.nodes)[1:].tobytes() == expected[1:].tobytes()
+
+
 def random_rates(rng, n):
     """Rates spanning 40 decades with about a third of them zero."""
     rates = 10.0 ** rng.uniform(-20.0, 20.0, n)
@@ -167,3 +197,41 @@ class TestTopOfRangeDraw:
             assert choose_pair(pair, fw, target) == (
                 expected, bool(residual < fw[expected])
             )
+
+    def test_secondary_draw(self, rng):
+        """Cooper-pair and cotunneling channels follow the pair rule: a
+        target at ``nextafter(total, 0)`` that the cumulative sum of
+        the secondary rates falls short of takes the last channel with
+        a positive rate, never a zero-rate one at the end."""
+        config = SimulationConfig(solver="nonadaptive", seed=1)
+        solver = MonteCarloEngine(build_set(), config).solver
+        for _ in range(self.TREES):
+            n = int(rng.integers(1, 80))
+            secondary = random_rates(rng, n)
+            secondary[n - int(rng.integers(1, n + 1)):] = 0.0
+            if not np.any(secondary):
+                continue
+            fw, bw = random_rates(rng, 2), random_rates(rng, 2)
+            payloads = [
+                (EventKind.COOPER_PAIR, k % 2, +1, float(k)) for k in range(n)
+            ]
+            # residence-time draw, then the top of the range:
+            # (1 - 2**-53) * total rounds to nextafter(total, 0)
+            solver.rng = TopOfRange()
+            event = solver._select_and_apply(
+                fw, bw, secondary, payloads, np.zeros(2), np.zeros(2)
+            )
+            if event.kind is EventKind.COOPER_PAIR:
+                assert secondary[int(event.dw)] > 0.0
+            else:
+                assert (fw + bw)[event.junction] > 0.0
+
+
+class TopOfRange:
+    """Generator stand-in: ``random()`` gives 0.5, then ``1 - 2**-53``."""
+
+    def __init__(self):
+        self._draws = iter((0.5, 1.0 - 2.0 ** -53))
+
+    def random(self):
+        return next(self._draws)
