@@ -14,17 +14,27 @@ algebra on the Maxwell capacitance matrix ``C`` restricted to islands:
 
 Two backends are provided: a dense explicit inverse for small/medium
 circuits and a sparse LU factorisation for the large logic benchmarks
-(thousands of islands).  Both hold the full ``C^-1``: the sparse
-backend forms it once from the LU factors, a block of columns per
-solve, because the per-junction charging coefficients and the adaptive
-solver's incremental potential updates read every column of it anyway.
-Potentials are still solved through the LU factors there.
+(thousands of islands).  ``C^-1`` is block-diagonal over the circuit's
+capacitive components (islands linked by junctions or capacitors), and
+both backends use that: island ``k``'s *span* ``[lo, hi)`` runs from
+the smallest to one past the largest island index of its component,
+and column ``k`` of ``C^-1`` is zero outside it.  The dense backend
+keeps the full C-ordered inverse, which :meth:`Electrostatics.potentials`
+multiplies; the sparse backend stores each column packed, its span rows
+only, formed once from the LU factors a block of columns per solve
+(each island's span length in floats, rather than n: 95 MiB instead
+of 210 MiB at c1908).  Potentials are still solved through the
+LU factors there.  Either store is read through one
+:class:`CinvLayout`, and an event's potential update touches its
+component's span only.
 
 ``C^-1`` and ``q0`` are read-only: one :class:`Electrostatics` is shared
 by every engine on a circuit (:meth:`Circuit.prepared_electrostatics`).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,6 +129,44 @@ def assemble_capacitance(circuit: Circuit) -> tuple[sp.csc_matrix, sp.csr_matrix
     return cmat, cx
 
 
+def island_components(adjacency) -> list[list[int]]:
+    """The connected components of an island adjacency list
+    (:meth:`Circuit.island_adjacency`), each in ascending island order,
+    ordered by their smallest island."""
+    seen = [False] * len(adjacency)
+    components = []
+    for root in range(len(adjacency)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        component = [root]
+        for island in component:  # breadth-first: the list is the queue
+            for other in adjacency[island]:
+                if not seen[other]:
+                    seen[other] = True
+                    component.append(other)
+        components.append(sorted(component))
+    return components
+
+
+class CinvLayout(NamedTuple):
+    """Where the stored ``C^-1`` entries live, the same way for both
+    backends: entry ``(i, k)`` for ``lo[k] <= i < hi[k]`` is
+    ``values[offset[k] + (i - lo[k]) * row]``, and every entry outside
+    island ``k``'s span ``[lo[k], hi[k])`` is zero.
+
+    The dense backend's ``values`` is its C-ordered ``n x n`` inverse
+    flattened (``offset[k] = lo[k] * n + k``, ``row = n``); the sparse
+    backend's is the packed columns end to end (``row = 1``).
+    """
+
+    values: np.ndarray
+    offset: np.ndarray
+    row: int
+    lo: np.ndarray
+    hi: np.ndarray
+
+
 class Electrostatics:
     """Capacitance-matrix solver for a frozen :class:`Circuit`.
 
@@ -142,6 +190,15 @@ class Electrostatics:
 
         cmat, self._cx = assemble_capacitance(circuit)
         self._cmat = cmat
+        self._island_labels = circuit.island_labels
+        components = island_components(circuit.island_adjacency())
+        self._component_sizes = [len(c) for c in components]
+        lo = np.empty(n, dtype=np.int64)
+        hi = np.empty(n, dtype=np.int64)
+        for component in components:
+            lo[component] = component[0]
+            hi[component] = component[-1] + 1
+        self._spans = list(zip(lo.tolist(), hi.tolist()))
 
         self._dense = n <= dense_limit
         if self._dense:
@@ -160,6 +217,13 @@ class Electrostatics:
                 raise CircuitError(_FLOATING_MESSAGE)
             self._lu = None
             self._cinv = np.linalg.inv(dense_c)
+            self._cinv.flags.writeable = False
+            stray = self._stray_column(self._cinv, 0, lo, hi)
+            if stray is not None:
+                raise self._stray_error(stray)
+            values = self._cinv.reshape(-1)
+            offset = lo * n + np.arange(n)
+            row = n
         else:
             try:
                 self._lu = spla.splu(cmat)
@@ -168,36 +232,93 @@ class Electrostatics:
                     "capacitance matrix factorisation failed; check that every "
                     "island group couples to a fixed potential"
                 ) from exc
-            self._cinv = self._sparse_inverse()
-        self._cinv.flags.writeable = False
+            offset = np.zeros(n, dtype=np.int64)
+            np.cumsum((hi - lo)[:-1], out=offset[1:])
+            values = self._packed_inverse(lo, hi, offset)
+            row = 1
+        for array in (values, offset, lo, hi):
+            array.flags.writeable = False
+        self._layout = CinvLayout(values, offset, row, lo, hi)
+        # per island: the span rows of its column, a view of the store
+        self._columns = [
+            values[start:start + (last - first) * row:row]
+            for start, (first, last) in zip(offset.tolist(), self._spans)
+        ]
         self._q0 = circuit.background_charge_vector()
         self._q0.flags.writeable = False
 
-    def _sparse_inverse(self) -> np.ndarray:
-        """``C^-1`` from the LU factors, :data:`SOLVE_BLOCK` columns per solve.
+    def _stray_column(
+        self, block: np.ndarray, start: int, lo: np.ndarray, hi: np.ndarray
+    ) -> int | None:
+        """The first island among ``start, start + 1, ...`` whose
+        ``C^-1`` column (in ``block``) is not exactly zero outside its
+        component span, or ``None``: the packed store and every
+        potential update rely on there being none."""
+        if len(self._component_sizes) == 1:
+            return None  # every span is [0, n): nothing lies outside
+        nonzero = block != 0.0  # NaN counts as non-zero
+        first = nonzero.argmax(axis=0)
+        last = self._n - 1 - nonzero[::-1].argmax(axis=0)
+        stop = start + block.shape[1]
+        stray = np.flatnonzero((first < lo[start:stop]) | (last >= hi[start:stop]))
+        return start + int(stray[0]) if stray.size else None
+
+    def _stray_error(self, island: int) -> CircuitError:
+        lo, hi = self.component_span(island)
+        return CircuitError(
+            f"C^-1 column of island {self._island_labels[island]!r} "
+            f"(index {island}) is non-zero outside its capacitive "
+            f"component's islands {lo}..{hi - 1}"
+        )
+
+    def _packed_inverse(
+        self, lo: np.ndarray, hi: np.ndarray, offset: np.ndarray
+    ) -> np.ndarray:
+        """``C^-1`` from the LU factors, :data:`SOLVE_BLOCK` columns per
+        solve, each column packed to its span rows at ``offset``.
 
         SuperLU solves the columns of a block independently, so every
-        column is bit-identical to a single right-hand-side solve.  The
-        result is Fortran-ordered so that each column is contiguous.
+        stored entry is bit-identical to a single right-hand-side solve.
         Raises :class:`CircuitError` when the 1-norm condition number
         ``||C||_1 ||C^-1||_1`` exceeds :data:`FLOATING_CONDITION`: LU
         factorisation succeeds on a floating group whose pivots are
-        only float rounding, and returns entries around ``1e33``.
+        only float rounding, and returns entries around ``1e33``.  The
+        span check comes after it, so a floating group is reported as
+        one.
         """
         n = self._n
-        cinv = np.empty((n, n), order="F")
+        offset_list = offset.tolist()
+        first, last = self._spans[-1]
+        values = np.empty(offset_list[-1] + last - first)
         column_norms = np.empty(n)
+        stray = None
         for start in range(0, n, SOLVE_BLOCK):
             stop = min(start + SOLVE_BLOCK, n)
             rhs = np.zeros((n, stop - start), order="F")
             rhs[np.arange(start, stop), np.arange(stop - start)] = 1.0
             block = self._lu.solve(rhs)
-            cinv[:, start:stop] = block
             column_norms[start:stop] = np.abs(block).sum(axis=0)
+            if stray is None:
+                stray = self._stray_column(block, start, lo, hi)
+            # consecutive islands of one component (one lo) have the same
+            # span and adjacent packed columns: one copy per run
+            k = start
+            while k < stop:
+                first, last = self._spans[k]
+                end = k + 1
+                while end < stop and self._spans[end][0] == first:
+                    end += 1
+                at = offset_list[k]
+                values[at:at + (end - k) * (last - first)].reshape(
+                    end - k, last - first
+                )[...] = block[first:last, k - start:end - start].T
+                k = end
         condition = spla.norm(self._cmat, 1) * column_norms.max()
         if not condition <= FLOATING_CONDITION:  # NaN counts as floating
             raise CircuitError(_FLOATING_MESSAGE)
-        return cinv
+        if stray is not None:
+            raise self._stray_error(stray)
+        return values
 
     # ------------------------------------------------------------------
     # basic queries
@@ -211,6 +332,18 @@ class Electrostatics:
         return self._dense
 
     @property
+    def component_sizes(self) -> list[int]:
+        """Island count of each capacitive component, ordered by the
+        component's smallest island."""
+        return list(self._component_sizes)
+
+    @property
+    def cinv_nbytes(self) -> int:
+        """Bytes held by the ``C^-1`` store (``n^2`` floats dense,
+        the packed span columns sparse)."""
+        return self._layout.values.nbytes
+
+    @property
     def background_charge(self) -> np.ndarray:
         """Offset charge vector ``q0`` (coulombs), one entry per island."""
         return self._q0
@@ -220,22 +353,38 @@ class Electrostatics:
         return self._cmat.toarray()
 
     @property
-    def cinv(self) -> np.ndarray:
-        """``C^-1`` (read-only; C-ordered on the dense backend,
-        Fortran-ordered on the sparse one)."""
-        return self._cinv
+    def cinv_layout(self) -> CinvLayout:
+        """The read-only ``C^-1`` store and how to index it."""
+        return self._layout
+
+    def component_span(self, island: int) -> tuple[int, int]:
+        """``(lo, hi)``: island ``island``'s component spans islands
+        ``lo`` to ``hi - 1``, and its ``C^-1`` column is zero outside."""
+        return self._spans[island]
 
     def cinv_column(self, island: int) -> np.ndarray:
-        """Column ``island`` of ``C^-1`` (a read-only view)."""
-        return self._cinv[:, island]
+        """Column ``island`` of ``C^-1``, full length (a read-only copy)."""
+        column = np.zeros(self._n)
+        lo, hi = self.component_span(island)
+        column[lo:hi] = self._columns[island]
+        column.flags.writeable = False
+        return column
 
     def cinv_entry(self, row: int, col: int) -> float:
         """Single entry of ``C^-1``."""
-        return float(self._cinv[row, col])
+        lo, hi = self._spans[col]
+        if not lo <= row < hi:
+            return 0.0
+        return float(self._columns[col][row - lo])
 
     def cinv_entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Entries ``C^-1[rows[k], cols[k]]`` gathered into one array."""
-        return self._cinv[rows, cols]
+        entry = self.cinv_entry
+        return np.array(
+            [entry(row, col) for row, col in zip(np.asarray(rows).tolist(),
+                                                  np.asarray(cols).tolist())],
+            dtype=float,
+        )
 
     # ------------------------------------------------------------------
     # potentials
@@ -303,14 +452,30 @@ class Electrostatics:
 
         The state-independent identity ``dv = C^-1 dq_vec`` lets solvers
         update potentials incrementally instead of re-solving the full
-        system after every tunnel event.
+        system after every tunnel event.  Only the endpoints' component
+        spans are written; every other entry is zero.
         """
         dv = np.zeros(self._n)
         if ref_a.is_island:
-            dv -= dq * self.cinv_column(ref_a.index)
+            lo, hi = self._spans[ref_a.index]
+            span = dv[lo:hi]  # updated in place through the view
+            span -= dq * self._columns[ref_a.index]
         if ref_b.is_island:
-            dv += dq * self.cinv_column(ref_b.index)
+            lo, hi = self._spans[ref_b.index]
+            span = dv[lo:hi]
+            span += dq * self._columns[ref_b.index]
         return dv
+
+    def event_span(self, ref_a: NodeRef, ref_b: NodeRef) -> tuple[int, int]:
+        """``(lo, hi)``: the islands :meth:`potential_update` may change
+        for a tunnel event between the two nodes, ``(0, 0)`` when both
+        are pinned.  An event's island endpoints share a component: its
+        junction, or a cotunneling path's two junctions, couples them."""
+        if ref_a.is_island:
+            return self._spans[ref_a.index]
+        if ref_b.is_island:
+            return self._spans[ref_b.index]
+        return 0, 0
 
     def source_potential_update(self, dvext: np.ndarray) -> np.ndarray:
         """Island potential change caused by a source-voltage change.

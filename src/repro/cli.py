@@ -113,7 +113,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.errors import SemsimError, SimulationError
+from repro.errors import CircuitError, SemsimError, SimulationError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -903,6 +903,18 @@ def _cmd_info(args) -> int:
     if report.diagnostics:
         summary += f" (run 'repro lint {args.deck}' for details)"
     print(f"  lint:           {summary}")
+    try:
+        stat = circuit.prepared_electrostatics()[0]
+    except CircuitError as exc:
+        print(f"  electrostatics: not formed ({exc})")
+    else:
+        sizes = stat.component_sizes
+        store = "dense" if stat.is_dense else "packed per component"
+        largest = max(sizes)
+        print(f"  components:     {len(sizes)}, the largest "
+              f"{largest} island{'s' if largest > 1 else ''}")
+        print(f"  C^-1 store:     {stat.cinv_nbytes} bytes "
+              f"({stat.cinv_nbytes / 2**20:.1f} MiB, {store})")
     if args.probe > 0:
         from repro.core import AdaptiveSolver, MonteCarloEngine
 

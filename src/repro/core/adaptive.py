@@ -152,7 +152,7 @@ class AdaptiveSolver(BaseSolver):
         int64 = np.int64
         neighbor_start = np.zeros(n + 1, dtype=int64)
         np.cumsum([len(nbrs) for nbrs in self._neighbors], out=neighbor_start[1:])
-        cinv = self.stat.cinv
+        layout = self.stat.cinv_layout
         self._flagged = np.zeros(n, dtype=int64)
         buffers = {
             "a_isl": self._a_is_island.astype(int64),
@@ -165,7 +165,10 @@ class AdaptiveSolver(BaseSolver):
             ),
             "charging": self._charging,
             "resistance": np.ascontiguousarray(self.table.resistance, dtype=float),
-            "cinv": cinv,
+            "cinv": layout.values,
+            "cinv_offset": layout.offset,
+            "span_lo": layout.lo,
+            "span_hi": layout.hi,
             "v": self._v,
             "vext": self.vext,
             "dw_fw": self._dw_fw,
@@ -183,10 +186,8 @@ class AdaptiveSolver(BaseSolver):
         kernel = native.Kernel(
             rng=self.rng.bit_generator.ctypes.bit_generator.value,
             n_junctions=n,
-            n_islands=self.stat.n_islands,
             tree_size=tree._size,
-            cinv_row=cinv.strides[0] // cinv.itemsize,
-            cinv_col=cinv.strides[1] // cinv.itemsize,
+            cinv_row=layout.row,
             kt=K_B * self.model.temperature,
             charge=E_CHARGE,
             scale=self.config.adaptive_threshold / E_CHARGE,
@@ -503,7 +504,11 @@ class AdaptiveSolver(BaseSolver):
         ref_a, ref_b = self._event_endpoints(event)
         dq = -E_CHARGE * event.n_electrons
         dv = self.stat.potential_update(ref_a, ref_b, dq)
-        self._v += dv
+        # dv is zero outside the event's component: leave v alone there,
+        # as the kernel does (updated in place through the view)
+        lo, hi = self.stat.event_span(ref_a, ref_b)
+        span = self._v[lo:hi]
+        span += dv[lo:hi]
 
         self._events_since_refresh += 1
         if self._events_since_refresh >= self.config.full_refresh_interval:

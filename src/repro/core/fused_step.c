@@ -3,8 +3,10 @@
  *
  * The call draws the residence time and the event from the solver's own
  * numpy bit generator, samples the pair-rate tree, updates the island
- * potentials from two columns of C^-1, runs the breadth-first test of
- * Algorithm 1 against the stored test limits, recomputes the flagged
+ * potentials from two columns of C^-1 over the span of the event's
+ * capacitive component (C^-1 is block-diagonal over the components, and
+ * each column is stored over its span only), runs the breadth-first test
+ * of Algorithm 1 against the stored test limits, recomputes the flagged
  * junctions' orthodox rates and repairs the sampling tree once.  The
  * caller (repro/core/adaptive.py) builds the TunnelEvent and commits it:
  * clocks, occupation, flux and the event-stream digest stay in Python.
@@ -32,7 +34,6 @@ typedef struct {
 typedef struct {
     bitgen_t *rng;
     int64_t n_junctions;
-    int64_t n_islands;
     int64_t tree_size;
     /* junction endpoints: island flag (0/1) and island or source index */
     const int64_t *a_isl, *a_idx, *b_isl, *b_idx;
@@ -40,9 +41,13 @@ typedef struct {
     const int64_t *nbr_start, *nbr_list;
     /* 0.5 e^2 (K_aa - 2 K_ab + K_bb) and tunnel resistance per junction */
     const double *charging, *resistance;
-    /* C^-1 and its element strides: entry (i, k) is cinv[i*row + k*col] */
+    /* C^-1 (Electrostatics.cinv_layout): entry (i, k) for
+     * span_lo[k] <= i < span_hi[k] is
+     * cinv[cinv_offset[k] + (i - span_lo[k]) * cinv_row], and zero outside
+     * island k's component span */
     const double *cinv;
-    int64_t cinv_row, cinv_col;
+    const int64_t *cinv_offset, *span_lo, *span_hi;
+    int64_t cinv_row;
     /* solver state, shared with the Python path */
     double *v, *vext, *dw_fw, *dw_bw, *seq_fw, *seq_bw, *b0, *limit, *tree;
     /* scratch: potential change, walk queue, queued marks, flagged list */
@@ -212,25 +217,31 @@ int64_t repro_step(Kernel *k, double time, double deadline,
     k->n_flagged = 0;
 
     /* Electrostatics.potential_update from node src to node dst, then
-     * v += dv */
+     * v += dv, over the span of the event's component (a junction's
+     * islands share one).  The walk below reaches only junctions of this
+     * component, so dv outside the span is never read. */
     const int64_t src_isl = forward ? k->a_isl[j] : k->b_isl[j];
     const int64_t src = forward ? k->a_idx[j] : k->b_idx[j];
     const int64_t dst_isl = forward ? k->b_isl[j] : k->a_isl[j];
     const int64_t dst = forward ? k->b_idx[j] : k->a_idx[j];
-    const double *col_src = k->cinv + src * k->cinv_col;
-    const double *col_dst = k->cinv + dst * k->cinv_col;
-    const int64_t row = k->cinv_row;
-    const int64_t n_islands = k->n_islands;
-    const double dq = k->dq;
-    double *v = k->v, *dv = k->dv;
-    for (int64_t i = 0; i < n_islands; i++) {
-        double d = 0.0;
-        if (src_isl)
-            d = d - dq * col_src[i * row];
-        if (dst_isl)
-            d = d + dq * col_dst[i * row];
-        dv[i] = d;
-        v[i] = v[i] + d;
+    if (src_isl || dst_isl) {
+        const int64_t island = src_isl ? src : dst;
+        const int64_t lo = k->span_lo[island];
+        const int64_t length = k->span_hi[island] - lo;
+        const double *col_src = src_isl ? k->cinv + k->cinv_offset[src] : 0;
+        const double *col_dst = dst_isl ? k->cinv + k->cinv_offset[dst] : 0;
+        const int64_t row = k->cinv_row;
+        const double dq = k->dq;
+        double *v = k->v + lo, *dv = k->dv + lo;
+        for (int64_t i = 0; i < length; i++) {
+            double d = 0.0;
+            if (src_isl)
+                d = d - dq * col_src[i * row];
+            if (dst_isl)
+                d = d + dq * col_dst[i * row];
+            dv[i] = d;
+            v[i] = v[i] + d;
+        }
     }
     if (!walk)
         return STEP_EVENT;

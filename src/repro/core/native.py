@@ -46,7 +46,6 @@ class Kernel(ctypes.Structure):
     _fields_ = [
         ("rng", ctypes.c_void_p),
         ("n_junctions", ctypes.c_int64),
-        ("n_islands", ctypes.c_int64),
         ("tree_size", ctypes.c_int64),
         ("a_isl", _int64_p),
         ("a_idx", _int64_p),
@@ -57,8 +56,10 @@ class Kernel(ctypes.Structure):
         ("charging", _double_p),
         ("resistance", _double_p),
         ("cinv", _double_p),
+        ("cinv_offset", _int64_p),
+        ("span_lo", _int64_p),
+        ("span_hi", _int64_p),
         ("cinv_row", ctypes.c_int64),
-        ("cinv_col", ctypes.c_int64),
         ("v", _double_p),
         ("vext", _double_p),
         ("dw_fw", _double_p),

@@ -19,7 +19,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.circuit import Superconductor, build_set
+from repro.circuit import (
+    CircuitBuilder,
+    Electrostatics,
+    JunctionTable,
+    Superconductor,
+    build_set,
+)
+from repro.circuit.electrostatics import DENSE_LIMIT_DEFAULT
 from repro.constants import E_CHARGE, K_B, MEV
 from repro.core import MonteCarloEngine, SimulationConfig, Sine, run_with_waveforms
 from repro.core import native
@@ -316,6 +323,96 @@ def test_74ls280_wide_flags_match_reference(monkeypatch):
     and repairs the tree itself."""
     seen = run_74ls280(monkeypatch, 0.0, 150)
     assert seen["numpy_recompute"] - seen["vector"] > 100
+
+
+def two_sets():
+    """Two independent SETs in one circuit: islands 0 and 1, one per
+    component."""
+    b = CircuitBuilder()
+    for name in ("a", "b"):
+        b.add_junction(f"j{name}1", f"s{name}", f"i{name}", 1e6, 1e-18)
+        b.add_junction(f"j{name}2", f"d{name}", f"i{name}", 1e6, 1e-18)
+        b.add_capacitor(f"c{name}", f"g{name}", f"i{name}", 3e-18)
+    for name, vs, vg in (("a", 0.03, 0.0), ("b", 0.05, 0.002)):
+        b.add_voltage_source(f"vs{name}", f"s{name}", vs)
+        b.add_voltage_source(f"vd{name}", f"d{name}", -vs)
+        b.add_voltage_source(f"vg{name}", f"g{name}", vg)
+    return b.build()
+
+
+def interleaved_arrays(junctions=4):
+    """Two junction arrays whose islands alternate in index order: the
+    islands of ``a`` are 0, 2, 4 and those of ``b`` 1, 3, 5, so each
+    component's span covers islands of the other."""
+    b = CircuitBuilder()
+    for k in range(junctions):
+        for name in ("a", "b"):
+            left = f"l{name}" if k == 0 else f"{name}{k}"
+            right = f"r{name}" if k == junctions - 1 else f"{name}{k + 1}"
+            b.add_junction(f"j{name}{k}", left, right, 1e6, 1e-18)
+    for k in range(1, junctions):
+        for name in ("a", "b"):
+            b.add_capacitor(f"c{name}{k}", f"g{name}", f"{name}{k}", 2e-18)
+    for name, bias in (("a", 0.3), ("b", 0.25)):
+        b.add_voltage_source(f"vl{name}", f"l{name}", bias / 2)
+        b.add_voltage_source(f"vr{name}", f"r{name}", -bias / 2)
+        b.add_voltage_source(f"vg{name}", f"g{name}", 0.0)
+    return b.build()
+
+
+MULTI_COMPONENT = {
+    "two-sets": (two_sets, (
+        {"vsa": 0.03, "vda": -0.03, "vga": 0.004,
+         "vsb": 0.05, "vdb": -0.05, "vgb": -0.002},
+        {"vsa": 0.05, "vda": -0.05, "vga": -0.002,
+         "vsb": 0.03, "vdb": -0.03, "vgb": 0.004},
+    )),
+    "interleaved": (interleaved_arrays, (
+        {"vla": 0.15, "vra": -0.15, "vga": 0.01,
+         "vlb": 0.125, "vrb": -0.125, "vgb": 0.0},
+        {"vla": 0.2, "vra": -0.2, "vga": 0.0,
+         "vlb": 0.1, "vrb": -0.1, "vgb": 0.02},
+    )),
+}
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+@pytest.mark.parametrize("case", sorted(MULTI_COMPONENT))
+def test_multi_component_matches_reference(monkeypatch, case, backend):
+    """Each event's potential update stays in its component's span, on
+    the kernel and on the Python path alike, and the potentials it
+    leaves are those of a fresh solve."""
+    build, vectors = MULTI_COMPONENT[case]
+    circuit = build()
+    stat = Electrostatics(
+        circuit, dense_limit=DENSE_LIMIT_DEFAULT if backend == "dense" else 0
+    )
+    assert stat.is_dense == (backend == "dense")
+    # every engine on the circuit takes this pair (prepared_electrostatics)
+    object.__setattr__(
+        circuit, "_electrostatics_cache", (stat, JunctionTable(circuit, stat))
+    )
+    assert len(stat.component_sizes) == 2
+    if case == "interleaved":
+        assert [stat.component_span(i) for i in range(6)] == [
+            (0, 5), (1, 6), (0, 5), (1, 6), (0, 5), (1, 6),
+        ]
+    config = SimulationConfig(
+        temperature=5.0, seed=13, event_hash=True, full_refresh_interval=700,
+    )
+    fast, ref = engine_pair(monkeypatch, circuit, config)
+    assert fast.electrostatics is stat and ref.electrostatics is stat
+    kernel_steps = count_kernel_steps(fast.solver)
+    run_toggled(fast, ref, vectors, blocks=4, events=500)
+    assert len(kernel_steps) == fast.solver.stats.events == 2000
+    # both components conducted
+    moved = np.abs(fast.solver.flux) > 0
+    names = [j.name for j in circuit.junctions]
+    assert {name[1] for name, m in zip(names, moved) if m} == {"a", "b"}
+    for engine in (fast, ref):
+        solver = engine.solver
+        fresh = stat.potentials(solver.occupation, solver.vext)
+        assert np.allclose(solver.potentials(), fresh, rtol=0.0, atol=1e-9)
 
 
 def test_ac_drive_with_deadlines_matches_reference(monkeypatch):

@@ -38,6 +38,21 @@ class TestInfo:
         assert "islands:        1" in out
         assert "temperature:    5.0 K" in out
 
+    def test_reports_components_and_cinv_store(self, deck_file, tmp_path, capsys):
+        assert main(["info", str(deck_file)]) == 0
+        out = capsys.readouterr().out
+        assert "components:     1, the largest 1 island\n" in out
+        assert "C^-1 store:     8 bytes (0.0 MiB, dense)" in out
+        # a second SET on its own nodes is a second capacitive component
+        two = tmp_path / "two_sets.deck"
+        two.write_text(DECK + "junc 3 5 7 1e-6 1e-18\njunc 4 6 7 1e-6 1e-18\n"
+                       "cap 8 7 3e-18\nvdc 5 0.02\nvdc 6 -0.02\nvdc 8 0.0\n")
+        assert main(["info", str(two)]) == 0
+        out = capsys.readouterr().out
+        assert "islands:        2" in out
+        assert "components:     2, the largest 1 island\n" in out
+        assert "C^-1 store:     32 bytes (0.0 MiB, dense)" in out
+
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         code = main(["info", str(tmp_path / "nope.deck")])
         assert code == 2

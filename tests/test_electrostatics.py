@@ -126,16 +126,23 @@ class TestIncrementalUpdates:
 
 
 class TestBackends:
-    def _ladder(self, n):
+    def _ladders(self, lengths, interleaved=False):
+        """Independent ladders of junctions with ground capacitors, one
+        capacitive component each: in sequence, or with their islands'
+        indices interleaved."""
         b = CircuitBuilder()
-        for i in range(n):
-            b.add_junction(f"j{i}", f"n{i}", f"n{i+1}", 1e6, 1e-18)
-            b.add_capacitor(f"c{i}", f"n{i+1}", "0", 5e-18)
-        b.add_voltage_source("v0", "n0", 0.01)
+        steps = [(k, i) for k, n in enumerate(lengths) for i in range(n)]
+        if interleaved:
+            steps.sort(key=lambda step: (step[1], step[0]))
+        for k, i in steps:
+            b.add_junction(f"j{k}_{i}", f"n{k}_{i}", f"n{k}_{i+1}", 1e6, 1e-18)
+            b.add_capacitor(f"c{k}_{i}", f"n{k}_{i+1}", "0", 5e-18)
+        for k in range(len(lengths)):
+            b.add_voltage_source(f"v{k}", f"n{k}_0", 0.01)
         return b.build()
 
     def test_sparse_matches_dense(self):
-        circuit = self._ladder(30)
+        circuit = self._ladders([30])
         dense = Electrostatics(circuit, dense_limit=1000)
         sparse = Electrostatics(circuit, dense_limit=5)
         assert dense.is_dense and not sparse.is_dense
@@ -150,16 +157,14 @@ class TestBackends:
 
     def test_sparse_column_cache(self):
         # C^-1 is formed at construction: column access performs no LU solve
-        circuit = self._ladder(20)
+        circuit = self._ladders([20])
         sparse = Electrostatics(circuit, dense_limit=5)
         expected = sparse.cinv_column(4).copy()
         sparse._lu = None  # any further solve would raise
         assert np.array_equal(sparse.cinv_column(4), expected)
         assert sparse.cinv_entry(9, 4) == expected[9]
 
-    def test_block_columns_match_single_solves(self):
-        # several full blocks plus a partial one
-        circuit = self._ladder(2 * SOLVE_BLOCK + 40)
+    def _assert_block_columns_match_single_solves(self, circuit):
         sparse = Electrostatics(circuit, dense_limit=5)
         lu = spla.splu(assemble_capacitance(circuit)[0])
         for island in range(circuit.n_islands):
@@ -167,9 +172,102 @@ class TestBackends:
             unit[island] = 1.0
             assert np.array_equal(sparse.cinv_column(island), lu.solve(unit))
 
+    def test_block_columns_match_single_solves(self):
+        # several full blocks plus a partial one
+        self._assert_block_columns_match_single_solves(
+            self._ladders([2 * SOLVE_BLOCK + 40])
+        )
+
+    def test_block_columns_match_single_solves_multi_component(self):
+        # components end inside blocks, and one spans several blocks
+        circuit = self._ladders([3, SOLVE_BLOCK + 5, 1, 2 * SOLVE_BLOCK, 7])
+        assert Electrostatics(circuit, dense_limit=5).component_sizes == [
+            3, SOLVE_BLOCK + 5, 1, 2 * SOLVE_BLOCK, 7,
+        ]
+        self._assert_block_columns_match_single_solves(circuit)
+
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_packed_entries_match_solves(self, interleaved):
+        circuit = self._ladders([9, 4, 12], interleaved=interleaved)
+        n = circuit.n_islands
+        cmat = assemble_capacitance(circuit)[0]
+        sparse = Electrostatics(circuit, dense_limit=5)
+        dense = Electrostatics(circuit)
+        # the sparse backend's solves and the dense backend's inverse
+        lu = spla.splu(cmat)
+        solved = np.column_stack([lu.solve(np.eye(n)[:, k]) for k in range(n)])
+        inverse = np.linalg.inv(cmat.toarray())
+        rows, cols = (grid.ravel() for grid in np.indices((n, n)))
+        for stat, expected in ((sparse, solved), (dense, inverse)):
+            entries = stat.cinv_entries(rows, cols)
+            assert np.array_equal(entries, expected[rows, cols])
+            assert [stat.cinv_entry(r, c) for r, c in zip(rows, cols)] == (
+                entries.tolist()
+            )
+            for k in range(n):
+                column = stat.cinv_column(k)
+                assert not column.flags.writeable
+                assert np.array_equal(column, expected[:, k])
+                # bit for bit inside the span, and zero outside it
+                lo, hi = stat.component_span(k)
+                assert column[lo:hi].tobytes() == expected[lo:hi, k].tobytes()
+                assert not column[:lo].any() and not column[hi:].any()
+        # the backends agree on the block structure, and to rounding inside
+        assert np.array_equal(solved == 0.0, inverse == 0.0)
+        assert np.allclose(solved, inverse, rtol=1e-12, atol=0.0)
+
+    def test_packed_store_holds_span_columns_only(self):
+        circuit = self._ladders([9, 4, 12], interleaved=True)
+        sparse = Electrostatics(circuit, dense_limit=5)
+        dense = Electrostatics(circuit)
+        spans = [sparse.component_span(k) for k in range(circuit.n_islands)]
+        assert spans == [dense.component_span(k) for k in range(25)]
+        assert sparse.cinv_nbytes == 8 * sum(hi - lo for lo, hi in spans)
+        assert dense.cinv_nbytes == 8 * 25 * 25 > sparse.cinv_nbytes
+        assert sparse.cinv_layout.values.ndim == 1
+        assert not any(
+            isinstance(value, np.ndarray) and value.size >= 25 * 25
+            for value in vars(sparse).values()
+        )
+
+    @pytest.mark.parametrize(
+        "dense_limit", [DENSE_LIMIT_DEFAULT, 0], ids=["dense", "sparse"]
+    )
+    def test_entry_outside_component_span_rejected(self, monkeypatch, dense_limit):
+        """The set-up guard: C^-1 must vanish outside each column's span."""
+        circuit = self._ladders([3, 4])
+        doctored_island = 5  # second ladder; row 0 is outside its span
+
+        def doctor(block, first_column):
+            column = doctored_island - first_column
+            if 0 <= column < block.shape[1]:
+                block[0, column] = 1e-30
+            return block
+
+        if dense_limit:
+            real_inv = np.linalg.inv
+            monkeypatch.setattr(
+                np.linalg, "inv", lambda matrix: doctor(real_inv(matrix), 0)
+            )
+        else:
+            real_splu = spla.splu
+
+            class Doctored:
+                def __init__(self, matrix):
+                    self._lu = real_splu(matrix)
+
+                def solve(self, rhs):
+                    # the block's first column is the first unit vector's
+                    first = int(np.argmax(rhs[:, 0]))
+                    return doctor(self._lu.solve(rhs), first)
+
+            monkeypatch.setattr(spla, "splu", Doctored)
+        with pytest.raises(CircuitError, match=r"island 'n1_3' \(index 5\)"):
+            Electrostatics(circuit, dense_limit=dense_limit)
+
     @pytest.mark.parametrize("dense_limit", [5, DENSE_LIMIT_DEFAULT])
     def test_vectorised_charging_matches_scalar(self, dense_limit):
-        for circuit in (build_set(), self._ladder(40)):
+        for circuit in (build_set(), self._ladders([40])):
             stat = Electrostatics(circuit, dense_limit=dense_limit)
             table = JunctionTable(circuit, stat)
             scalar = [
