@@ -25,9 +25,14 @@ changed appreciably have their rates recomputed:
 
 On normal-state circuits without secondary channels each event is one
 call into a C kernel (:mod:`repro.core.native`, ``fused_step.c``): the
-draw, the tree sample, the potential update, the test walk, the scalar
-recompute and the tree repair, with the same IEEE operations as the
-Python methods below, over the same buffers.  The Python methods are
+draw, the tree sample, the occupation and flux update, the potential
+update, the test walk, the scalar recompute and the tree repair, with
+the same IEEE operations as the Python methods below, over the same
+buffers.  Python keeps the clocks, the event count, the returned
+:class:`TunnelEvent` and the event-stream digest.  A batch wider than
+``native.SCALAR_BATCH`` (and every batch of a retarget's vectorised
+walk) is computed by the kernel around one ``numpy.expm1`` call, the
+loop the Python path's numpy recompute runs.  The Python methods are
 the reference and the fallback when the kernel cannot be built; both
 realise the same events, bit for bit.
 
@@ -40,6 +45,7 @@ information specific to these effects").
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 
 import numpy as np
@@ -49,7 +55,7 @@ from repro.circuit.electrostatics import Electrostatics
 from repro.circuit.junction_table import JunctionTable
 from repro.constants import E_CHARGE, K_B
 from repro.core import native
-from repro.core.base import BaseSolver
+from repro.core.base import BaseSolver, event_record_prefix
 from repro.core.config import SimulationConfig
 from repro.core.event_solver import draw_time
 from repro.core.events import EventKind, TunnelEvent
@@ -57,6 +63,26 @@ from repro.core.pairtree import PairRateTree
 from repro.physics.orthodox import orthodox_rates_both
 from repro.physics.rates import TunnelingModel
 from repro.telemetry import registry as _telemetry
+
+
+def record_prefixes(a_isl, a_idx, b_isl, b_idx):
+    """Digest record prefixes of the sequential events between the given
+    junction endpoints, by key ``2 * j + 1`` (junction ``j`` forward) or
+    ``2 * j`` (backward).  Each is formatted on first use: formatting
+    every one up front takes tens of milliseconds at c1908."""
+
+    @functools.cache
+    def record(key: int) -> str:
+        j, forward = divmod(key, 2)
+        src = (a_isl[j], a_idx[j])
+        dst = (b_isl[j], b_idx[j])
+        if not forward:
+            src, dst = dst, src
+        return event_record_prefix(
+            EventKind.SEQUENTIAL, j, 1 if forward else -1, 1, *src, *dst
+        )
+
+    return record
 
 
 class AdaptiveSolver(BaseSolver):
@@ -154,6 +180,10 @@ class AdaptiveSolver(BaseSolver):
         np.cumsum([len(nbrs) for nbrs in self._neighbors], out=neighbor_start[1:])
         layout = self.stat.cinv_layout
         self._flagged = np.zeros(n, dtype=int64)
+        # a wide batch's packed expm1 arguments and results: at most two
+        # per flagged junction
+        self._xbuf = np.zeros(2 * n)
+        self._ebuf = np.zeros(2 * n)
         buffers = {
             "a_isl": self._a_is_island.astype(int64),
             "a_idx": self._a_index.astype(int64),
@@ -178,10 +208,14 @@ class AdaptiveSolver(BaseSolver):
             "b0": self._b0,
             "limit": self._limit,
             "tree": tree.nodes,
+            "occupation": self.occupation,
+            "flux": self.flux,
             "dv": np.zeros(self.stat.n_islands),
             "queue": np.zeros(n, dtype=int64),
             "queued": np.zeros(n, dtype=np.uint8),
             "flagged": self._flagged,
+            "xbuf": self._xbuf,
+            "ebuf": self._ebuf,
         }
         kernel = native.Kernel(
             rng=self.rng.bit_generator.ctypes.bit_generator.value,
@@ -193,6 +227,7 @@ class AdaptiveSolver(BaseSolver):
             scale=self.config.adaptive_threshold / E_CHARGE,
             cap=self._energy_cap,
             dq=-E_CHARGE,
+            scalar_batch=native.SCALAR_BATCH,
         )
         pointer_types = dict(native.Kernel._fields_)
         for name, array in buffers.items():
@@ -200,8 +235,14 @@ class AdaptiveSolver(BaseSolver):
         # the struct holds raw addresses: keep the arrays alive with it
         self._kernel_buffers = buffers
         self._native_step = library.step
+        self._native_prepare = library.prepare
         self._native_finish = library.finish
         self._kernel_address = ctypes.addressof(kernel)
+        if self._event_digest is not None:
+            self._record = record_prefixes(
+                self._a_isl_list, self._a_idx_list,
+                self._b_isl_list, self._b_idx_list,
+            )
         return kernel
 
     @property
@@ -252,26 +293,26 @@ class AdaptiveSolver(BaseSolver):
         return scale * smaller
 
     def _recompute_junctions(self, indices) -> None:
-        """Recompute free energies and rates for flagged junctions only."""
+        """Recompute free energies and rates for flagged junctions only:
+        a list of at most :data:`native.SCALAR_BATCH` with libm's
+        ``expm1``, a wider list or an array with numpy's."""
         if (
             not self.model.superconducting
             and isinstance(indices, list)
-            and len(indices) <= 64
+            and len(indices) <= native.SCALAR_BATCH
         ):
             self._recompute_scalar(indices)
             return
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size == 0:
             return
+        if self._kernel is not None:
+            self._flagged[: idx.size] = idx
+            self._recompute_wide(idx.size)
+            return
         dw_fw, dw_bw = self._recompute_rates(idx)
         self.stats.sequential_rate_evaluations += 2 * idx.size
         self.stats.flagged_recalculations += idx.size
-        if self._kernel is not None:
-            # the C tail: the same scalar limits and batched tree repair
-            self._flagged[: idx.size] = idx
-            self._kernel.n_flagged = idx.size
-            self._native_finish(self._kernel_address)
-            return
         leaves = idx.tolist()
         scale = self.config.adaptive_threshold / E_CHARGE
         cap = self._energy_cap
@@ -285,6 +326,21 @@ class AdaptiveSolver(BaseSolver):
             self._tree.update(
                 leaves, (self._seq_fw[idx] + self._seq_bw[idx]).tolist()
             )
+
+    def _recompute_wide(self, n: int) -> None:
+        """The kernel's recompute of its ``flagged[:n]`` with numpy's
+        ``expm1``: ``repro_prepare`` writes the free energies and packs
+        the arguments, one numpy call (the loop ``bose_weight`` runs)
+        evaluates them, and ``repro_finish`` forms the rates as
+        :meth:`_recompute_rates` does, stores the limits and repairs
+        the tree."""
+        self._kernel.n_flagged = n
+        count = self._native_prepare(self._kernel_address)
+        if count:
+            np.expm1(self._xbuf[:count], out=self._ebuf[:count])
+        self._native_finish(self._kernel_address)
+        self.stats.sequential_rate_evaluations += 2 * n
+        self.stats.flagged_recalculations += n
 
     def _recompute_rates(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write the free energies and rates of junctions ``idx`` with
@@ -522,7 +578,10 @@ class AdaptiveSolver(BaseSolver):
     def _step_native(
         self, kernel: native.Kernel, deadline: float | None
     ) -> TunnelEvent | None:
-        """One event through the C kernel; Python commits it."""
+        """One event through the C kernel, which also applies it to the
+        occupation and flux; Python advances the clocks, counts it and
+        folds it into the digest (the record :meth:`_hash_event` would
+        write)."""
         walk = self._events_since_refresh + 1 < self.config.full_refresh_interval
         if deadline is None:
             status = self._native_step(self._kernel_address, self.time, 0.0, 0, walk)
@@ -537,17 +596,22 @@ class AdaptiveSolver(BaseSolver):
             # nothing drawn: the Python draw raises FrozenCircuitError,
             # or advances to the deadline, without touching the stream
             return self._select_fast(deadline)
+        dt = kernel.dt
+        self._advance_time(dt)
+        self.stats.events += 1
+        j, forward = kernel.junction, kernel.forward
+        if self._event_digest is not None:
+            prefix = self._record(2 * j + forward)
+            self._event_digest.update(f"{prefix}{dt.hex()}\n".encode("ascii"))
         event = TunnelEvent(
-            EventKind.SEQUENTIAL, kernel.junction, 1 if kernel.forward else -1,
-            1, kernel.dw,
+            EventKind.SEQUENTIAL, j, 1 if forward else -1, 1, kernel.dw
         )
-        self._commit_event(event, kernel.dt)
         self._events_since_refresh += 1
         if not walk:
             self._full_refresh()
             return event
         if status == native.STEP_RECOMPUTE:
-            self._recompute_junctions(self._flagged[: kernel.n_flagged])
+            self._recompute_wide(kernel.n_flagged)
         else:
             self.stats.sequential_rate_evaluations += 2 * kernel.n_flagged
             self.stats.flagged_recalculations += kernel.n_flagged

@@ -60,6 +60,22 @@ class SolverStats:
         return "\n".join(lines)
 
 
+def event_record_prefix(
+    kind: EventKind, junction: int, direction: int, n_electrons: int,
+    src_is_island: bool, src_index: int, dst_is_island: bool, dst_index: int,
+) -> str:
+    """The event-stream digest's record of one event up to the residence
+    time: the record is this prefix, ``dt.hex()`` and a newline.
+
+    ``src``/``dst`` are the nodes the electrons leave and reach, an
+    island flag and an island or source index each.
+    """
+    return (
+        f"{kind.value}:{junction}:{direction}:{n_electrons}:"
+        f"{src_is_island:d}{src_index}:{dst_is_island:d}{dst_index}:"
+    )
+
+
 class BaseSolver:
     """State and helpers common to both Monte Carlo solvers.
 
@@ -259,12 +275,11 @@ class BaseSolver:
         encoding exact and platform-independent.
         """
         ref_a, ref_b = self._event_endpoints(event)
-        record = (
-            f"{event.kind.value}:{event.junction}:{event.direction}:"
-            f"{event.n_electrons}:{ref_a.is_island:d}{ref_a.index}:"
-            f"{ref_b.is_island:d}{ref_b.index}:{dt.hex()}\n"
+        prefix = event_record_prefix(
+            event.kind, event.junction, event.direction, event.n_electrons,
+            ref_a.is_island, ref_a.index, ref_b.is_island, ref_b.index,
         )
-        self._event_digest.update(record.encode("ascii"))
+        self._event_digest.update(f"{prefix}{dt.hex()}\n".encode("ascii"))
 
     def event_stream_hash(self) -> str | None:
         """Hex digest of the event stream so far (``None`` when

@@ -1,22 +1,30 @@
 /* One event of the adaptive solver (Algorithm 1) for normal-state
  * circuits, fused into a single call.
  *
- * The call draws the residence time and the event from the solver's own
- * numpy bit generator, samples the pair-rate tree, updates the island
- * potentials from two columns of C^-1 over the span of the event's
- * capacitive component (C^-1 is block-diagonal over the components, and
- * each column is stored over its span only), runs the breadth-first test
- * of Algorithm 1 against the stored test limits, recomputes the flagged
+ * repro_step draws the residence time and the event from the solver's
+ * own numpy bit generator, samples the pair-rate tree, commits the event
+ * to the occupation and flux counters, updates the island potentials
+ * from two columns of C^-1 over the span of the event's capacitive
+ * component (C^-1 is block-diagonal over the components, and each column
+ * is stored over its span only), runs the breadth-first test of
+ * Algorithm 1 against the stored test limits, recomputes the flagged
  * junctions' orthodox rates and repairs the sampling tree once.  The
- * caller (repro/core/adaptive.py) builds the TunnelEvent and commits it:
- * clocks, occupation, flux and the event-stream digest stay in Python.
+ * caller (repro/core/adaptive.py) keeps the Kahan clocks, the event
+ * count, the TunnelEvent it returns and the event-stream digest.
+ *
+ * A flagged batch wider than scalar_batch (and every batch of a
+ * retarget's vectorised walk) is computed by repro_prepare, one numpy
+ * expm1 call over the packed arguments, and repro_finish: numpy's SIMD
+ * expm1 may round differently from libm's, and the Python path computes
+ * those batches with numpy.
  *
  * Every floating-point operation is the one the Python path
  * (AdaptiveSolver._select_fast, Electrostatics.potential_update,
- * _adaptive_update, _recompute_scalar, PairRateTree) performs, in the
- * same order, so both paths give the same bits.  Build with
- * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
- * CPython's math.log and math.expm1 call the same libm functions.
+ * _adaptive_update, _recompute_scalar, _recompute_rates, PairRateTree)
+ * performs, in the same order, so both paths give the same bits.  Build
+ * with -ffp-contract=off (no fused multiply-add) and never with
+ * -ffast-math.  CPython's math.log and math.expm1 call the same libm
+ * functions.
  */
 #include <math.h>
 #include <stdint.h>
@@ -50,13 +58,18 @@ typedef struct {
     int64_t cinv_row;
     /* solver state, shared with the Python path */
     double *v, *vext, *dw_fw, *dw_bw, *seq_fw, *seq_bw, *b0, *limit, *tree;
-    /* scratch: potential change, walk queue, queued marks, flagged list */
+    int64_t *occupation, *flux;
+    /* scratch: potential change, walk queue, queued marks, flagged list,
+     * packed expm1 arguments and results of a wide batch (2 per junction) */
     double *dv;
     int64_t *queue;
     uint8_t *queued;
     int64_t *flagged;
+    double *xbuf, *ebuf;
     /* k_B T, e, lambda / e, energy cap, transferred charge -e */
     double kt, charge, scale, cap, dq;
+    /* largest flagged batch whose rates repro_step computes with libm */
+    int64_t scalar_batch;
     /* outputs of the last step */
     int64_t junction, forward, n_flagged;
     double dt, dw;
@@ -66,15 +79,10 @@ enum {
     STEP_EVENT = 0,     /* event drawn and Algorithm 1 applied */
     STEP_FROZEN = 1,    /* total rate <= 0: nothing drawn */
     STEP_DEADLINE = 2,  /* dt drawn and beyond the deadline: no event */
-    STEP_RECOMPUTE = 3  /* event drawn, > SCALAR_BATCH junctions flagged:
-                           the caller computes their rates with numpy,
-                           then calls repro_finish */
+    STEP_RECOMPUTE = 3  /* event drawn, > scalar_batch junctions flagged:
+                           the caller runs repro_prepare, numpy's expm1
+                           and repro_finish */
 };
-
-/* Largest flagged batch whose rates are computed here; AdaptiveSolver
- * computes larger ones with numpy (whose expm1 may round differently
- * from libm's), so this must match it. */
-#define SCALAR_BATCH 64
 
 /* PairRateTree.sample: the junction whose interval holds target and the
  * residual within its pair, with the top-of-range rule. */
@@ -151,6 +159,18 @@ static void finish(Kernel *k, int64_t n)
     }
 }
 
+/* Write junction i's free-energy changes from the potentials. */
+static void free_energies(Kernel *k, int64_t i)
+{
+    const double e = k->charge;
+    double phi_a = k->a_isl[i] ? k->v[k->a_idx[i]] : k->vext[k->a_idx[i]];
+    double phi_b = k->b_isl[i] ? k->v[k->b_idx[i]] : k->vext[k->b_idx[i]];
+    double drop = phi_b - phi_a;
+    double self_energy = k->charging[i];
+    k->dw_fw[i] = -e * drop + self_energy;
+    k->dw_bw[i] = +e * drop + self_energy;
+}
+
 /* _recompute_scalar over flagged[0:n]. */
 static void recompute(Kernel *k, int64_t n)
 {
@@ -158,25 +178,77 @@ static void recompute(Kernel *k, int64_t n)
     const double e2 = e * e;
     for (int64_t m = 0; m < n; m++) {
         int64_t i = k->flagged[m];
-        double phi_a = k->a_isl[i] ? k->v[k->a_idx[i]] : k->vext[k->a_idx[i]];
-        double phi_b = k->b_isl[i] ? k->v[k->b_idx[i]] : k->vext[k->b_idx[i]];
-        double drop = phi_b - phi_a;
-        double self_energy = k->charging[i];
-        double dwf = -e * drop + self_energy;
-        double dwb = +e * drop + self_energy;
+        free_energies(k, i);
         double denominator = e2 * k->resistance[i];
-        k->dw_fw[i] = dwf;
-        k->dw_bw[i] = dwb;
-        k->seq_fw[i] = orthodox(dwf, k->kt, denominator);
-        k->seq_bw[i] = orthodox(dwb, k->kt, denominator);
+        k->seq_fw[i] = orthodox(k->dw_fw[i], k->kt, denominator);
+        k->seq_bw[i] = orthodox(k->dw_bw[i], k->kt, denominator);
     }
     finish(k, n);
 }
 
-/* finish() for a batch whose rates the caller computed with numpy
- * (STEP_RECOMPUTE, or a retarget's wide walk): flagged[0:n_flagged]. */
+/* Whether bose_weight sends x = dW / kT to expm1: neither |x| < 1e-12
+ * (weight kT) nor x > 500 (weight 0). */
+static int needs_expm1(double x)
+{
+    return !(-1e-12 < x && x < 1e-12) && !(x > 500.0);
+}
+
+/* First half of a wide recompute of flagged[0:n_flagged]
+ * (_recompute_rates): write the free energies and pack x = dW / kT of
+ * every direction whose rate needs expm1 into xbuf, junction by
+ * junction, forward before backward.  Returns the count; the caller
+ * fills ebuf[0:count] = numpy.expm1(xbuf[0:count]). */
+int64_t repro_prepare(Kernel *k)
+{
+    const double kt = k->kt;
+    int64_t count = 0;
+    for (int64_t m = 0; m < k->n_flagged; m++) {
+        int64_t i = k->flagged[m];
+        free_energies(k, i);
+        if (kt > 0.0) {
+            double x = k->dw_fw[i] / kt;
+            if (needs_expm1(x))
+                k->xbuf[count++] = x;
+            x = k->dw_bw[i] / kt;
+            if (needs_expm1(x))
+                k->xbuf[count++] = x;
+        }
+    }
+    return count;
+}
+
+/* One direction's rate in _recompute_rates's order: bose_weight's
+ * weight, taking the next expm1 value from ebuf, over e^2 R. */
+static double wide_rate(const Kernel *k, double dw, double denominator,
+                        int64_t *next)
+{
+    const double kt = k->kt;
+    double weight;
+    if (kt > 0.0) {
+        double x = dw / kt;
+        if (needs_expm1(x))
+            weight = dw / k->ebuf[(*next)++];
+        else
+            weight = x > 500.0 ? 0.0 : kt;
+    } else {
+        weight = dw < 0.0 ? -dw : 0.0;
+    }
+    return weight / denominator;
+}
+
+/* Second half of a wide recompute: the rates from ebuf, in the order
+ * repro_prepare packed it, then the limits and one tree repair. */
 void repro_finish(Kernel *k)
 {
+    const double e = k->charge;
+    const double e2 = e * e;
+    int64_t next = 0;
+    for (int64_t m = 0; m < k->n_flagged; m++) {
+        int64_t i = k->flagged[m];
+        double denominator = e2 * k->resistance[i];
+        k->seq_fw[i] = wide_rate(k, k->dw_fw[i], denominator, &next);
+        k->seq_bw[i] = wide_rate(k, k->dw_bw[i], denominator, &next);
+    }
     finish(k, k->n_flagged);
 }
 
@@ -216,14 +288,21 @@ int64_t repro_step(Kernel *k, double time, double deadline,
     k->dw = forward ? k->dw_fw[j] : k->dw_bw[j];
     k->n_flagged = 0;
 
-    /* Electrostatics.potential_update from node src to node dst, then
-     * v += dv, over the span of the event's component (a junction's
-     * islands share one).  The walk below reaches only junctions of this
-     * component, so dv outside the span is never read. */
+    /* BaseSolver._apply_event: one electron from node src to node dst */
     const int64_t src_isl = forward ? k->a_isl[j] : k->b_isl[j];
     const int64_t src = forward ? k->a_idx[j] : k->b_idx[j];
     const int64_t dst_isl = forward ? k->b_isl[j] : k->a_isl[j];
     const int64_t dst = forward ? k->b_idx[j] : k->a_idx[j];
+    if (src_isl)
+        k->occupation[src] -= 1;
+    if (dst_isl)
+        k->occupation[dst] += 1;
+    k->flux[j] += forward ? 1 : -1;
+
+    /* Electrostatics.potential_update from src to dst, then v += dv, over
+     * the span of the event's component (a junction's islands share one).
+     * The walk below reaches only junctions of this component, so dv
+     * outside the span is never read. */
     if (src_isl || dst_isl) {
         const int64_t island = src_isl ? src : dst;
         const int64_t lo = k->span_lo[island];
@@ -271,7 +350,7 @@ int64_t repro_step(Kernel *k, double time, double deadline,
     for (int64_t head = 0; head < tail; head++)
         k->queued[k->queue[head]] = 0;
     k->n_flagged = n_flagged;
-    if (n_flagged > SCALAR_BATCH)
+    if (n_flagged > k->scalar_batch)
         return STEP_RECOMPUTE;
     recompute(k, n_flagged);
     return STEP_EVENT;

@@ -1,5 +1,13 @@
 """Loader of the adaptive solver's fused event kernel (``fused_step.c``).
 
+The library exports three functions over one :class:`Kernel` struct.
+``repro_step`` runs one event of Algorithm 1 and commits it to the
+solver's occupation and flux arrays; the caller keeps the clocks, the
+event count and the event-stream digest.  ``repro_prepare`` and
+``repro_finish`` compute a flagged batch wider than
+:data:`SCALAR_BATCH` around one ``numpy.expm1`` call, whose results
+may differ in the last bit from libm's.
+
 The C file is compiled on first use with the system C compiler into the
 repro cache directory (:func:`repro.monitor.ledger.repro_cache_dir`),
 under a name keyed by the SHA-256 of the source, the compiler command
@@ -33,6 +41,13 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: Return codes of ``repro_step`` (the ``STEP_*`` enum of the C file).
 STEP_EVENT, STEP_FROZEN, STEP_DEADLINE, STEP_RECOMPUTE = range(4)
+
+#: Largest flagged batch whose rates are computed with libm's ``expm1``
+#: (``_recompute_scalar``, or inside ``repro_step``).  Wider batches, and
+#: every batch of a retarget's vectorised walk, use numpy's ``expm1``,
+#: which may round differently.  The kernel reads this value from its
+#: ``scalar_batch`` field, so both paths split at the same width.
+SCALAR_BATCH = 64
 
 _double_p = ctypes.POINTER(ctypes.c_double)
 _int64_p = ctypes.POINTER(ctypes.c_int64)
@@ -69,15 +84,20 @@ class Kernel(ctypes.Structure):
         ("b0", _double_p),
         ("limit", _double_p),
         ("tree", _double_p),
+        ("occupation", _int64_p),
+        ("flux", _int64_p),
         ("dv", _double_p),
         ("queue", _int64_p),
         ("queued", ctypes.POINTER(ctypes.c_uint8)),
         ("flagged", _int64_p),
+        ("xbuf", _double_p),
+        ("ebuf", _double_p),
         ("kt", ctypes.c_double),
         ("charge", ctypes.c_double),
         ("scale", ctypes.c_double),
         ("cap", ctypes.c_double),
         ("dq", ctypes.c_double),
+        ("scalar_batch", ctypes.c_int64),
         ("junction", ctypes.c_int64),
         ("forward", ctypes.c_int64),
         ("n_flagged", ctypes.c_int64),
@@ -88,14 +108,15 @@ class Kernel(ctypes.Structure):
 
 @dataclasses.dataclass(frozen=True)
 class Native:
-    """Outcome of :func:`load`: the bound ``repro_step`` and
-    ``repro_finish`` functions and the library path, or ``step=None``
-    and the reason."""
+    """Outcome of :func:`load`: the bound ``repro_step``,
+    ``repro_finish`` and ``repro_prepare`` functions and the library
+    path, or ``step=None`` and the reason."""
 
     step: Any
     finish: Any
     path: Path | None
     reason: str = ""
+    prepare: Any = None
 
     def describe(self) -> str:
         """One line: which adaptive step runs, and why or from where."""
@@ -154,7 +175,8 @@ def load() -> Native:
         # PyDLL keeps the GIL across the call: the kernel writes arrays
         # the interpreter owns
         library = ctypes.PyDLL(str(path))
-        step, finish = library.repro_step, library.repro_finish
+        step = library.repro_step
+        prepare, finish = library.repro_prepare, library.repro_finish
     except (OSError, AttributeError, subprocess.SubprocessError) as exc:
         detail = getattr(exc, "stderr", None)
         reason = f"{type(exc).__name__}: {exc}"
@@ -166,6 +188,8 @@ def load() -> Native:
         ctypes.c_int64, ctypes.c_int64,
     ]
     step.restype = ctypes.c_int64
+    prepare.argtypes = [ctypes.c_void_p]
+    prepare.restype = ctypes.c_int64
     finish.argtypes = [ctypes.c_void_p]
     finish.restype = None
-    return Native(step, finish, path)
+    return Native(step, finish, path, prepare=prepare)

@@ -31,6 +31,7 @@ from repro.constants import E_CHARGE, K_B, MEV
 from repro.core import MonteCarloEngine, SimulationConfig, Sine, run_with_waveforms
 from repro.core import native
 from repro.core.adaptive import AdaptiveSolver
+from repro.core.events import EventKind, TunnelEvent
 from repro.errors import FrozenCircuitError
 from repro.logic import build_benchmark, find_step_stimulus
 
@@ -271,8 +272,9 @@ def test_set_matches_reference(
 
 def run_74ls280(monkeypatch, threshold, events):
     """Toggle 74LS280's inputs on the kernel and the reference; returns
-    the fast solver's counts of vectorised walks and of numpy
-    recomputes (more than 64 junctions, or from a vectorised walk)."""
+    the fast solver's counts of vectorised walks and of the kernel's
+    wide recomputes with numpy's ``expm1`` (more than
+    ``native.SCALAR_BATCH`` junctions, or from a vectorised walk)."""
     mapped = build_benchmark("74LS280")
     stimulus = find_step_stimulus(mapped.netlist, 0)
     vectors = (
@@ -287,23 +289,22 @@ def run_74ls280(monkeypatch, threshold, events):
         monkeypatch, mapped.circuit, config,
         mapped.initial_occupation(stimulus.before),
     )
-    seen = {"vector": 0, "numpy_recompute": 0}
+    seen = {"vector": 0, "wide": 0}
     solver = fast.solver
     kernel_steps = count_kernel_steps(solver)
     vector_walk = solver._adaptive_update_vector
-    recompute = solver._recompute_junctions
+    recompute_wide = solver._recompute_wide
 
     def counting_vector(*args):
         seen["vector"] += 1
         return vector_walk(*args)
 
-    def counting_recompute(indices):
-        if not isinstance(indices, list) or len(indices) > 64:
-            seen["numpy_recompute"] += 1
-        return recompute(indices)
+    def counting_wide(n):
+        seen["wide"] += 1
+        return recompute_wide(n)
 
     solver._adaptive_update_vector = counting_vector
-    solver._recompute_junctions = counting_recompute
+    solver._recompute_wide = counting_wide
     run_toggled(fast, ref, vectors, blocks=6, events=events)
     assert solver.stats.events == 6 * events
     assert len(kernel_steps) == 6 * events
@@ -313,16 +314,213 @@ def run_74ls280(monkeypatch, threshold, events):
 def test_74ls280_matches_reference(monkeypatch):
     seen = run_74ls280(monkeypatch, SimulationConfig().adaptive_threshold, 500)
     assert seen["vector"] >= 6
-    assert seen["numpy_recompute"] >= 1
+    assert seen["wide"] >= 1
 
 
 def test_74ls280_wide_flags_match_reference(monkeypatch):
     """At lambda = 0 every tested junction is flagged, so each event
     floods its component: more than 64 junctions, whose rates the
-    kernel leaves to the numpy recompute before it stores the limits
-    and repairs the tree itself."""
+    kernel computes around one numpy ``expm1`` call, as the Python
+    path's numpy recompute does, before it stores the limits and
+    repairs the tree."""
     seen = run_74ls280(monkeypatch, 0.0, 150)
-    assert seen["numpy_recompute"] - seen["vector"] > 100
+    assert seen["wide"] - seen["vector"] > 100
+
+
+def test_scalar_batch_is_shared(monkeypatch):
+    """The kernel and the Python path split flagged batches between
+    libm's and numpy's ``expm1`` at one width, ``native.SCALAR_BATCH``:
+    lowered, both send the same batches to numpy, among them batches
+    the default width keeps scalar."""
+    limit = 3
+    monkeypatch.setattr(native, "SCALAR_BATCH", limit)
+    mapped = build_benchmark("74LS280")
+    stimulus = find_step_stimulus(mapped.netlist, 0)
+    config = SimulationConfig(
+        temperature=mapped.params.temperature, seed=4, event_hash=True,
+    )
+    fast, ref = engine_pair(
+        monkeypatch, mapped.circuit, config,
+        mapped.initial_occupation(stimulus.before),
+    )
+    assert fast.solver._kernel.scalar_batch == limit
+    widths = {"fast": [], "ref": []}
+    recompute_wide = fast.solver._recompute_wide
+    recompute_rates = ref.solver._recompute_rates
+
+    def fast_wide(n):
+        widths["fast"].append(n)
+        return recompute_wide(n)
+
+    def ref_rates(idx):
+        widths["ref"].append(len(idx))
+        return recompute_rates(idx)
+
+    fast.solver._recompute_wide = fast_wide
+    ref.solver._recompute_rates = ref_rates
+    for engine in (fast, ref):
+        engine.run(max_jumps=1500)
+    assert_same_state(fast, ref)
+    assert widths["fast"] == widths["ref"]
+    assert min(widths["fast"]) > limit
+    assert min(widths["fast"]) <= 64
+
+
+def test_record_prefixes_match_hash_event():
+    """The kernel path's digest record is the prefix of its junction
+    and direction, ``dt.hex()`` and a newline: the bytes
+    ``_hash_event`` writes, on every junction of 74LS280 (island to
+    island and island to source) in both directions."""
+    mapped = build_benchmark("74LS280")
+    config = SimulationConfig(
+        temperature=mapped.params.temperature, event_hash=True,
+    )
+    solver = MonteCarloEngine(mapped.circuit, config).solver
+    assert solver._kernel is not None, native.load().describe()
+    kinds = {
+        (a, b) for a, b in zip(solver._a_isl_list, solver._b_isl_list)
+    }
+    assert {(True, True), (False, True)} <= kinds
+
+    class Recorder:
+        def update(self, data):
+            self.data = data
+
+    solver._event_digest = digest = Recorder()
+    dt = 3.0517578125e-05 / 7
+    for j in range(solver.n_junctions):
+        for forward in (0, 1):
+            direction = 1 if forward else -1
+            event = TunnelEvent(EventKind.SEQUENTIAL, j, direction, 1, 0.0)
+            solver._hash_event(event, dt)
+            record = solver._record(2 * j + forward) + dt.hex() + "\n"
+            assert digest.data == record.encode("ascii")
+
+
+def free_energy(solver, i) -> float:
+    """Junction ``i``'s forward free-energy change, formed as the
+    recomputes form it."""
+    a_isl, a_idx = solver._a_isl_list[i], solver._a_idx_list[i]
+    b_isl, b_idx = solver._b_isl_list[i], solver._b_idx_list[i]
+    phi_a = float(solver._v[a_idx] if a_isl else solver.vext[a_idx])
+    phi_b = float(solver._v[b_idx] if b_isl else solver.vext[b_idx])
+    return -E_CHARGE * (phi_b - phi_a) + solver._charging_list[i]
+
+
+def place(solver, i, kt, target) -> float:
+    """Bisect the potential of junction ``i``'s ``node_b`` island until
+    the forward ``x = dW / kT`` is as close to ``target`` as it gets;
+    returns that ``x``."""
+    v = solver._v
+    island = solver._b_idx_list[i]
+
+    def x(value):
+        v[island] = value
+        return free_energy(solver, i) / kt
+
+    # x falls as the island's potential rises
+    lo, hi = float(v[island]) - 1.0, float(v[island]) + 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if x(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return x(min((lo, hi), key=lambda value: abs(x(value) - target)))
+
+
+def exact_temperature(dw, target) -> float:
+    """A temperature at which ``dw / (K_B * T)`` is exactly ``target``."""
+    t = dw / target / K_B
+    for _ in range(200):
+        x = dw / (K_B * t)
+        if x == target:
+            return t
+        t = math.nextafter(t, math.inf if abs(x) > abs(target) else 0.0)
+    raise AssertionError(f"no temperature puts {dw!r} on {target!r}")
+
+
+@pytest.mark.parametrize("thermal", [True, False], ids=["T>0", "T0"])
+def test_wide_batch_matches_numpy_recompute(monkeypatch, thermal):
+    """``repro_prepare``, one numpy ``expm1`` and ``repro_finish`` leave
+    the free energies, rates, limits, testing factors and tree nodes
+    ``_recompute_rates`` and the Python tail leave, bit for bit, on
+    random batches of more than ``native.SCALAR_BATCH`` junctions.  At
+    T > 0 the batches hold junctions whose ``x = dW / kT`` sits exactly
+    on the branch edges of ``bose_weight``: +-1e-12 and 500, and one
+    above 500."""
+    mapped = build_benchmark("74LS280")
+    stimulus = find_step_stimulus(mapped.netlist, 0)
+    occupation = mapped.initial_occupation(stimulus.before)
+    rng = np.random.default_rng(21)
+
+    def solvers(temperature):
+        config = SimulationConfig(temperature=temperature)
+        fast = MonteCarloEngine(
+            mapped.circuit, config, initial_occupation=occupation
+        ).solver
+        with monkeypatch.context() as patch:
+            python_loader(patch)
+            ref = MonteCarloEngine(
+                mapped.circuit, config, initial_occupation=occupation
+            ).solver
+        assert fast._kernel is not None, native.load().describe()
+        assert ref._kernel is None
+        return fast, ref
+
+    fast, ref = solvers(mapped.params.temperature if thermal else 0.0)
+    v = fast._v
+    v += rng.normal(scale=5e-3, size=v.size)
+    edges = {}
+    if thermal:
+        # junctions whose endpoints share no island with another's
+        candidates, used = [], set()
+        for i in rng.permutation(fast.n_junctions).tolist():
+            islands = {fast._b_idx_list[i]}
+            if fast._a_isl_list[i]:
+                islands.add(fast._a_idx_list[i])
+            if fast._b_isl_list[i] and not islands & used:
+                candidates.append(i)
+                used |= islands
+        first = candidates.pop()
+        place(fast, first, K_B * mapped.params.temperature, 1e-12)
+        temperature = exact_temperature(free_energy(fast, first), 1e-12)
+        placed = v.copy()
+        fast, ref = solvers(temperature)
+        fast._v[:] = placed
+        kt = K_B * temperature
+        edges[1e-12] = first
+        for target in (-1e-12, 500.0, 700.0):
+            while candidates:
+                i = candidates.pop()
+                x = place(fast, i, kt, target)
+                if x == target:
+                    edges[target] = i
+                    break
+        assert sorted(edges) == [-1e-12, 1e-12, 500.0, 700.0]
+        for target, i in edges.items():
+            assert free_energy(fast, i) / kt == target
+    ref._v[:] = fast._v
+    b0 = rng.normal(size=fast.n_junctions)
+    fast._b0[:] = ref._b0[:] = b0
+    for trial in range(6):
+        others = [i for i in range(fast.n_junctions) if i not in edges.values()]
+        size = int(rng.integers(native.SCALAR_BATCH + 1, fast.n_junctions // 2))
+        batch = rng.permutation(
+            list(edges.values()) + rng.choice(others, size, replace=False).tolist()
+        )
+        indices = batch if trial % 2 else batch.tolist()
+        for solver in (fast, ref):
+            solver._recompute_junctions(indices)
+        for name in ("_dw_fw", "_dw_bw", "_seq_fw", "_seq_bw", "_limit", "_b0"):
+            assert same_bits(getattr(fast, name), getattr(ref, name)), name
+        assert same_bits(fast._tree.nodes, ref._tree.nodes)
+        assert fast.stats == ref.stats
+    # only x > 500 gives a zero rate and only |x| < 1e-12 gives kT's:
+    # the edges themselves take expm1
+    for target, i in edges.items():
+        rate = fast._seq_fw[i]
+        assert (rate == 0.0) == (target > 500.0), target
+        assert rate != kt / (E_CHARGE * E_CHARGE * fast.table.resistance[i])
 
 
 def two_sets():
@@ -450,8 +648,9 @@ def test_frozen_circuit_matches_reference(monkeypatch):
 
 
 def test_kernel_buffers_stay_in_place():
-    """The kernel holds raw addresses: full refreshes and retargets
-    write the solver's buffers in place."""
+    """The kernel holds raw addresses: full refreshes, retargets and a
+    replaced generator leave the solver's buffers in place, the
+    occupation and flux the kernel commits events to included."""
     config = SimulationConfig(
         temperature=5.0, seed=2, full_refresh_interval=50,
     )
@@ -459,7 +658,7 @@ def test_kernel_buffers_stay_in_place():
     solver = engine.solver
     assert solver._kernel is not None, native.load().describe()
     names = ("_v", "vext", "_dw_fw", "_dw_bw", "_seq_fw", "_seq_bw",
-             "_b0", "_limit", "_flagged")
+             "_b0", "_limit", "_flagged", "occupation", "flux")
 
     def addresses():
         found = {name: getattr(solver, name).ctypes.data for name in names}
@@ -471,11 +670,71 @@ def test_kernel_buffers_stay_in_place():
     assert solver.stats.full_refreshes >= 3
     engine.set_sources({"vs": 0.05, "vd": -0.05, "vg": 0.003})
     engine.run(max_jumps=10)
+    solver.rng = np.random.default_rng(6)
+    engine.run(max_jumps=60)
     assert addresses() == before
+    assert np.abs(solver.flux).sum() > 0
     for field, name in (("v", "_v"), ("vext", "vext"), ("b0", "_b0"),
-                        ("limit", "_limit"), ("tree", "tree")):
+                        ("limit", "_limit"), ("tree", "tree"),
+                        ("occupation", "occupation"), ("flux", "flux")):
         pointer = getattr(solver._kernel, field)
         assert ctypes.cast(pointer, ctypes.c_void_p).value == before[name]
+
+
+def test_frozen_start_then_kernel_events_match_reference(monkeypatch):
+    """At T = 0 inside the blockade the first step finds every rate zero
+    and falls back to the Python draw, which advances to the deadline;
+    once the drive opens the blockade the kernel commits the events.
+    Occupation, flux and the event hash match the Python path, and the
+    flux is exactly what the returned events carry: none is applied
+    twice."""
+    config = SimulationConfig(temperature=0.0, seed=9, event_hash=True)
+    fast, ref = engine_pair(monkeypatch, build_set(vs=0.0, vd=0.0), config)
+    solver = fast.solver
+    statuses = []
+    step = solver._native_step
+
+    def recorded(*args):
+        statuses.append(step(*args))
+        return statuses[-1]
+
+    solver._native_step = recorded
+    fallback = solver._select_fast
+    fallbacks = []
+
+    def counted_fallback(deadline=None):
+        fallbacks.append(deadline)
+        return fallback(deadline)
+
+    solver._select_fast = counted_fallback
+    events = []
+    solver_step = solver.step
+
+    def recorded_step(deadline=None):
+        event = solver_step(deadline)
+        if event is not None:
+            events.append(event)
+        return event
+
+    solver.step = recorded_step
+    drive = {"vs": Sine(amplitude=0.08, frequency=2e8),
+             "vd": Sine(amplitude=-0.08, frequency=2e8)}
+    results = [
+        run_with_waveforms(engine, drive, duration=1e-8, time_step=2e-10)
+        for engine in (fast, ref)
+    ]
+    assert results[0] == results[1]
+    assert statuses[0] == native.STEP_FROZEN and fallbacks[0] is not None
+    assert statuses.count(native.STEP_EVENT) == len(events) > 100
+    assert len(fallbacks) == statuses.count(native.STEP_FROZEN)
+    assert_same_state(fast, ref)
+    flux = np.zeros_like(solver.flux)
+    for event in events:
+        flux[event.junction] += event.direction
+    assert np.array_equal(solver.flux, flux)
+    # the SET's one island gains what junction 0 brings in and junction
+    # 1 takes out (both run node_a = lead -> node_b = island)
+    assert solver.occupation.tolist() == [int(flux[0] + flux[1])]
 
 
 def test_replaced_generator_feeds_the_kernel():
