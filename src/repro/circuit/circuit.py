@@ -21,6 +21,7 @@ from repro.errors import CircuitError
 if TYPE_CHECKING:
     from repro.circuit.electrostatics import Electrostatics
     from repro.circuit.junction_table import JunctionTable
+    from repro.physics.quasiparticle import QuasiparticleRateTable
 
 
 @dataclasses.dataclass(frozen=True)
@@ -221,6 +222,34 @@ class Circuit:
             cached = (stat, JunctionTable(self, stat))
             object.__setattr__(self, "_electrostatics_cache", cached)
         return cached
+
+    def quasiparticle_table(
+        self, resistance: float, gap: float, temperature: float, span: float,
+        points: int,
+    ) -> "QuasiparticleRateTable":
+        """The circuit's shared quasi-particle rate table for junctions
+        of one resistance between electrodes of one gap.
+
+        Built on first use for each ``(resistance, gap, temperature,
+        span, points)`` and then reused by every engine on this circuit:
+        a 4001-point table costs a few thousand quadratures (about
+        0.2 s).  Tables are read-only.
+        """
+        tables = getattr(self, "_qp_tables_cache", None)
+        if tables is None:
+            tables = {}
+            object.__setattr__(self, "_qp_tables_cache", tables)
+        key = (resistance, gap, temperature, span, points)
+        table = tables.get(key)
+        if table is None:
+            # imported here: the physics package imports this module
+            from repro.physics.quasiparticle import QuasiparticleRateTable
+
+            table = QuasiparticleRateTable(
+                resistance, gap, gap, temperature, dw_max=span, n_points=points,
+            )
+            tables[key] = table
+        return table
 
     # ------------------------------------------------------------------
     # vectors

@@ -294,13 +294,10 @@ class AdaptiveSolver(BaseSolver):
 
     def _recompute_junctions(self, indices) -> None:
         """Recompute free energies and rates for flagged junctions only:
-        a list of at most :data:`native.SCALAR_BATCH` with libm's
-        ``expm1``, a wider list or an array with numpy's."""
-        if (
-            not self.model.superconducting
-            and isinstance(indices, list)
-            and len(indices) <= native.SCALAR_BATCH
-        ):
+        a list of at most :data:`native.SCALAR_BATCH` on Python floats
+        (orthodox rates with libm's ``expm1``), a wider list or an array
+        with numpy's."""
+        if isinstance(indices, list) and len(indices) <= native.SCALAR_BATCH:
             self._recompute_scalar(indices)
             return
         idx = np.asarray(indices, dtype=np.intp)
@@ -313,18 +310,11 @@ class AdaptiveSolver(BaseSolver):
         dw_fw, dw_bw = self._recompute_rates(idx)
         self.stats.sequential_rate_evaluations += 2 * idx.size
         self.stats.flagged_recalculations += idx.size
-        leaves = idx.tolist()
-        scale = self.config.adaptive_threshold / E_CHARGE
-        cap = self._energy_cap
-        b0, limit = memoryview(self._b0), memoryview(self._limit)
-        # scalar limits: a superconducting event flags one or two
-        # junctions, where numpy's per-call overhead would dominate
-        for j, dwf, dwb in zip(leaves, dw_fw.tolist(), dw_bw.tolist()):
-            b0[j] = 0.0
-            limit[j] = scale * min(abs(dwf), abs(dwb), cap)
+        self._b0[idx] = 0.0
+        self._limit[idx] = self._limits(dw_fw, dw_bw)
         if self._tree is not None:
             self._tree.update(
-                leaves, (self._seq_fw[idx] + self._seq_bw[idx]).tolist()
+                idx.tolist(), (self._seq_fw[idx] + self._seq_bw[idx]).tolist()
             )
 
     def _recompute_wide(self, n: int) -> None:
@@ -376,9 +366,12 @@ class AdaptiveSolver(BaseSolver):
 
     def _recompute_scalar(self, indices: list) -> None:
         """Scalar-math recompute for the few junctions a tunnel event
-        flags (normal-state circuits); avoids numpy's small-array
-        overhead in the hot path and repairs the sampling tree once
-        for the whole batch."""
+        flags; avoids numpy's small-array overhead in the hot path and
+        repairs the sampling tree once for the whole batch.  A
+        superconducting model gives each rate from its scalar table
+        lookup."""
+        superconducting = self.model.superconducting
+        rate = self.model.sequential_rate_single
         kt = K_B * self.model.temperature
         e = E_CHARGE
         scale = self.config.adaptive_threshold / e
@@ -405,7 +398,10 @@ class AdaptiveSolver(BaseSolver):
             dwf = -e * drop + self_energy
             dwb = +e * drop + self_energy
             denominator = e2 * resistance[i]
-            if kt > 0.0:
+            if superconducting:
+                fw = rate(i, dwf)
+                bw = rate(i, dwb)
+            elif kt > 0.0:
                 x = dwf / kt
                 if x > 500.0:
                     fw = 0.0
@@ -550,9 +546,9 @@ class AdaptiveSolver(BaseSolver):
         if self._fast:
             event = self._select_fast(deadline)
         else:
-            secondary_rates, payloads = self._secondary_rates(self._v)
+            secondary_rates, energies = self._secondary_rates(self._v)
             event = self._select_and_apply(
-                self._seq_fw, self._seq_bw, secondary_rates, payloads,
+                self._seq_fw, self._seq_bw, secondary_rates, energies,
                 self._dw_fw, self._dw_bw, deadline=deadline,
             )
         if event is None:

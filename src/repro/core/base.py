@@ -76,6 +76,11 @@ def event_record_prefix(
     )
 
 
+#: the rates and energies of a channel kind that is off
+_NO_CHANNELS = np.zeros(0)
+_NO_CHANNELS.flags.writeable = False
+
+
 class BaseSolver:
     """State and helpers common to both Monte Carlo solvers.
 
@@ -140,32 +145,29 @@ class BaseSolver:
     # ------------------------------------------------------------------
     # secondary (always non-adaptive) channels
     # ------------------------------------------------------------------
-    def _secondary_rates(self, v: np.ndarray) -> tuple[np.ndarray, list]:
-        """Rates and payloads for Cooper-pair and cotunneling events.
+    def _secondary_rates(
+        self, v: np.ndarray
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Rates of the Cooper-pair and cotunneling channels and the
+        free-energy changes they were computed from.
 
-        Returns a rate vector plus a parallel list of
-        ``(kind, junction_or_path, direction, dw)`` payload tuples.
+        The rate vector holds the Cooper pairs forward on each junction,
+        then backward, then one entry per cotunneling path; the energies
+        are ``(cooper_forward, cooper_backward, path_total)``, empty
+        where a channel kind is off.  :meth:`_secondary_event` builds the
+        event of one index.
         """
         rates: list[np.ndarray] = []
-        payloads: list = []
+        cp_fw = cp_bw = cot_dw = _NO_CHANNELS
         if self.model.include_cooper_pairs:
-            dw_fw, dw_bw = self.table.free_energy_changes(
+            cp_fw, cp_bw = self.table.free_energy_changes(
                 v, self.vext, dq=-2.0 * E_CHARGE
             )
-            cp_fw, cp_bw = self.model.cooper_pair_rates(dw_fw, dw_bw)
-            rates.append(cp_fw)
-            rates.append(cp_bw)
-            payloads.extend(
-                (EventKind.COOPER_PAIR, j, +1, dw_fw[j])
-                for j in range(self.n_junctions)
-            )
-            payloads.extend(
-                (EventKind.COOPER_PAIR, j, -1, dw_bw[j])
-                for j in range(self.n_junctions)
-            )
+            rates.extend(self.model.cooper_pair_rates(cp_fw, cp_bw))
             self.stats.secondary_rate_evaluations += 2 * self.n_junctions
         if self.model.include_cotunneling and self.model.paths:
             cot = np.empty(len(self.model.paths))
+            cot_dw = np.empty(len(self.model.paths))
             for k, path in enumerate(self.model.paths):
                 dw_total = self.stat.free_energy_change(
                     path.ref_a, path.ref_b, v, self.vext
@@ -177,12 +179,34 @@ class BaseSolver:
                     path.ref_m, path.ref_b, v, self.vext
                 )
                 cot[k] = self.model.cotunneling_rate_for_path(path, dw_total, e1, e2)
-                payloads.append((EventKind.COTUNNELING, path, +1, dw_total))
+                cot_dw[k] = dw_total
             rates.append(cot)
             self.stats.secondary_rate_evaluations += len(self.model.paths)
+        energies = (cp_fw, cp_bw, cot_dw)
         if rates:
-            return np.concatenate(rates), payloads
-        return np.zeros(0), payloads
+            return np.concatenate(rates), energies
+        return _NO_CHANNELS, energies
+
+    def _secondary_event(
+        self, index: int, energies: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ) -> TunnelEvent:
+        """The event of secondary channel ``index`` (see
+        :meth:`_secondary_rates`)."""
+        cp_fw, cp_bw, cot_dw = energies
+        n = len(cp_fw)
+        if index < n:
+            return TunnelEvent(
+                EventKind.COOPER_PAIR, index, +1, 2, float(cp_fw[index])
+            )
+        if index < 2 * n:
+            j = index - n
+            return TunnelEvent(EventKind.COOPER_PAIR, j, -1, 2, float(cp_bw[j]))
+        k = index - 2 * n
+        path = self.model.paths[k]
+        return TunnelEvent(
+            EventKind.COTUNNELING, path.junction_in, path.direction_in, 1,
+            float(cot_dw[k]), path=path,
+        )
 
     # ------------------------------------------------------------------
     # event realisation
@@ -192,7 +216,7 @@ class BaseSolver:
         seq_fw: np.ndarray,
         seq_bw: np.ndarray,
         secondary_rates: np.ndarray,
-        secondary_payloads: list,
+        secondary_energies: tuple[np.ndarray, np.ndarray, np.ndarray],
         seq_dw_fw: np.ndarray,
         seq_dw_bw: np.ndarray,
         deadline: float | None = None,
@@ -227,7 +251,7 @@ class BaseSolver:
             return None
         target = self.rng.random() * total
 
-        if target < pair_total or not secondary_payloads:
+        if target < pair_total or not len(secondary_rates):
             j, forward = choose_pair(pair, seq_fw, target)
             if forward:
                 event = TunnelEvent(
@@ -239,14 +263,7 @@ class BaseSolver:
                 )
         else:
             index = choose_channel(secondary_rates, target - pair_total)
-            kind, payload, direction, dw = secondary_payloads[index]
-            if kind is EventKind.COTUNNELING:
-                event = TunnelEvent(
-                    kind, payload.junction_in, payload.direction_in, 1,
-                    float(dw), path=payload,
-                )
-            else:
-                event = TunnelEvent(kind, payload, direction, 2, float(dw))
+            event = self._secondary_event(index, secondary_energies)
 
         self._commit_event(event, dt)
         return event

@@ -29,9 +29,9 @@ class NonAdaptiveSolver(BaseSolver):
         dw_fw, dw_bw = self.table.free_energy_changes(v, self.vext)
         seq_fw, seq_bw = self.model.sequential_rates(dw_fw, dw_bw)
         self.stats.sequential_rate_evaluations += 2 * self.n_junctions
-        secondary_rates, payloads = self._secondary_rates(v)
+        secondary_rates, energies = self._secondary_rates(v)
         return self._select_and_apply(
-            seq_fw, seq_bw, secondary_rates, payloads, dw_fw, dw_bw,
+            seq_fw, seq_bw, secondary_rates, energies, dw_fw, dw_bw,
             deadline=deadline,
         )
 

@@ -16,8 +16,9 @@ touches a singular endpoint is mapped through ``E = edge +- s * t^2``,
 which removes the singularity exactly, then integrated with
 Gauss-Legendre quadrature.  A per-junction lookup table over ``dW``
 makes the Monte Carlo inner loop cheap: superconducting rates reduce to
-one linear interpolation per junction per iteration, exactly the sort
-of precomputation a production simulator performs.
+one bisection and one linear interpolation on Python floats per
+junction and direction, exactly the sort of precomputation a
+production simulator performs.
 
 This machinery also produces the *singularity-matching* sub-gap
 features of Fig. 5 automatically: at finite temperature the thermally
@@ -26,6 +27,8 @@ and the E-integral peaks whenever the two singularities align.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -138,10 +141,13 @@ def qp_current(voltage: float, resistance: float, delta1: float, delta2: float,
 class QuasiparticleRateTable:
     """Tabulated ``Gamma_qp(dW)`` for one junction.
 
-    Building the table costs a few thousand quadratures once; evaluating
-    it is a single ``np.interp``.  Outside the tabulated span the rate
-    is extended by its asymptotes (ohmic orthodox rate far below, zero
-    far above), which the tests check against direct quadrature.
+    Building the table costs a few thousand quadratures once.  A scalar
+    lookup (a Python float or ``np.float64``) is a bisection and one
+    linear interpolation on Python floats, with the bits ``np.interp``
+    gives; an array lookup is one ``np.interp``.  Outside the tabulated
+    span the rate is extended by its asymptotes (ohmic orthodox rate far
+    below, zero far above), which the tests check against direct
+    quadrature.  The table is read-only, so engines may share it.
     """
 
     def __init__(
@@ -167,17 +173,25 @@ class QuasiparticleRateTable:
         self._rates = np.array(
             [qp_rate(dw, resistance, delta1, delta2, temperature) for dw in self._grid]
         )
+        self._grid.flags.writeable = False
+        self._rates.flags.writeable = False
+        # the scalar route indexes the tables through memoryviews, which
+        # give plain floats without copying them
+        self._grid_view = memoryview(self._grid)
+        self._rates_view = memoryview(self._rates)
         # continuity factor matching the ohmic extension to the table's
         # lower edge, so rates stay smooth across the span boundary
         edge_ohmic = float(
             orthodox_rate(self._grid[0] + delta1 + delta2, resistance, temperature)
         )
         self._extension_scale = (
-            self._rates[0] / edge_ohmic if edge_ohmic > 0.0 else 1.0
+            float(self._rates[0]) / edge_ohmic if edge_ohmic > 0.0 else 1.0
         )
 
     def __call__(self, dw):
         """Interpolated rate; accepts scalars or arrays."""
+        if isinstance(dw, float):  # np.float64 is a float subclass
+            return self._rate(float(dw))
         dw_arr = np.asarray(dw, dtype=float)
         out = np.interp(dw_arr, self._grid, self._rates)
         below = dw_arr < self._grid[0]
@@ -195,3 +209,53 @@ class QuasiparticleRateTable:
             out = np.array(out, copy=True)
             out[above] = 0.0
         return out if out.ndim else float(out)
+
+    def _rate(self, x: float) -> float:
+        """The array route's value for one float, without numpy calls
+        inside the span: the interval search and the interpolation of
+        numpy's ``arr_interp``, operation for operation."""
+        grid = self._grid_view
+        if x != x:
+            return x
+        if x > grid[-1]:
+            return 0.0
+        if x < grid[0]:
+            return self._extension(x)
+        # grid[j] <= x < grid[j + 1], or j the last point
+        j = bisect_right(grid, x) - 1
+        rates = self._rates_view
+        y0 = rates[j]
+        x0 = grid[j]
+        if x == x0 or j == len(grid) - 1:
+            return y0
+        x1 = grid[j + 1]
+        y1 = rates[j + 1]
+        slope = (y1 - y0) / (x1 - x0)
+        out = slope * (x - x0) + y0
+        if out != out:
+            # numpy's retry from the other end of the interval
+            out = slope * (x - x1) + y1
+            if out != out and y0 == y1:
+                out = y0
+        return out
+
+    def _extension(self, x: float) -> float:
+        """The ohmic extension below the span for one float:
+        ``orthodox_rate`` of the shifted energy along ``bose_weight``'s
+        branches, with numpy's ``expm1`` (libm's may round the last bit
+        differently)."""
+        energy = x + self.delta1 + self.delta2
+        if self.temperature == 0.0:
+            weight = -energy if energy < 0.0 else 0.0
+        else:
+            kt = K_B * self.temperature
+            y = energy / kt
+            if abs(y) < 1e-12:
+                weight = kt
+            elif y > 500.0:
+                weight = 0.0
+            else:
+                weight = energy / float(np.expm1(y))
+        return self._extension_scale * (
+            weight / (E_CHARGE * E_CHARGE * self.resistance)
+        )

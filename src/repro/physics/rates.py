@@ -109,20 +109,12 @@ class TunnelingModel:
                     "as a normal circuit instead"
                 )
             dw_max = self._qp_table_span()
-            cache: dict[float, QuasiparticleRateTable] = {}
-            for rj in circuit.resolved_junctions():
-                table = cache.get(rj.resistance)
-                if table is None:
-                    table = QuasiparticleRateTable(
-                        rj.resistance,
-                        self.gap,
-                        self.gap,
-                        temperature,
-                        dw_max=dw_max,
-                        n_points=qp_table_points,
-                    )
-                    cache[rj.resistance] = table
-                self._qp_tables.append(table)
+            self._qp_tables = [
+                circuit.quasiparticle_table(
+                    rj.resistance, self.gap, temperature, dw_max, qp_table_points
+                )
+                for rj in circuit.resolved_junctions()
+            ]
             if self.include_cooper_pairs:
                 for i, rj in enumerate(circuit.resolved_junctions()):
                     ej = josephson_energy(rj.resistance, self.gap, temperature)
@@ -175,19 +167,19 @@ class TunnelingModel:
                 dw_forward, dw_backward, self.junction_table.resistance,
                 self.temperature,
             )
-        fwd = np.empty_like(dw_forward)
-        bwd = np.empty_like(dw_backward)
-        for i, table in enumerate(self._qp_tables):
-            fwd[i] = table(dw_forward[i])
-            bwd[i] = table(dw_backward[i])
-        return fwd, bwd
+        # one scalar lookup per junction and direction: each costs less
+        # than one numpy call on a 0-d array
+        tables = self._qp_tables
+        fwd = [table(dw) for table, dw in zip(tables, dw_forward.tolist())]
+        bwd = [table(dw) for table, dw in zip(tables, dw_backward.tolist())]
+        return np.array(fwd), np.array(bwd)
 
     def sequential_rate_single(self, junction: int, dw: float) -> float:
         """Single-electron rate for one junction and one direction."""
         if not self.superconducting:
             resistance = float(self.junction_table.resistance[junction])
             return float(orthodox_rate(dw, resistance, self.temperature))
-        return float(self._qp_tables[junction](dw))
+        return self._qp_tables[junction](dw)
 
     def cooper_pair_rates(
         self, dw_forward: np.ndarray, dw_backward: np.ndarray

@@ -74,6 +74,9 @@ class ReferenceAdaptiveSolver(AdaptiveSolver):
             self._tree.update = update
 
     def _recompute_scalar(self, indices):
+        if self.model.superconducting:
+            self._recompute_numpy(indices)
+            return
         kt = K_B * self.model.temperature
         e = E_CHARGE
         v = self._v
@@ -120,6 +123,42 @@ class ReferenceAdaptiveSolver(AdaptiveSolver):
             self._b0[i] = 0.0
             if tree is not None:
                 repair_leaf(tree, i, fw + bw)
+                self.repaired_leaves += 1
+        self.stats.sequential_rate_evaluations += 2 * len(indices)
+        self.stats.flagged_recalculations += len(indices)
+
+    def _recompute_numpy(self, indices):
+        """A superconducting batch as numpy computed it before the scalar
+        table lookup: numpy free energies, and each rate from an array
+        lookup of the junction's table."""
+        idx = np.asarray(indices, dtype=np.intp)
+        v, vext = self._v, self.vext
+        phi_a = np.where(
+            self._a_is_island[idx],
+            v[np.minimum(self._a_index[idx], len(v) - 1)],
+            vext[np.minimum(self._a_index[idx], len(vext) - 1)],
+        )
+        phi_b = np.where(
+            self._b_is_island[idx],
+            v[np.minimum(self._b_index[idx], len(v) - 1)],
+            vext[np.minimum(self._b_index[idx], len(vext) - 1)],
+        )
+        drop = phi_b - phi_a
+        self_energy = 0.5 * E_CHARGE * E_CHARGE * self.table.charging[idx]
+        dw_fw = -E_CHARGE * drop + self_energy
+        dw_bw = +E_CHARGE * drop + self_energy
+        tables = self.model._qp_tables
+        tree = self._tree
+        for pos, j in enumerate(indices):
+            fw = tables[j](np.array([dw_fw[pos]]))[0]
+            bw = tables[j](np.array([dw_bw[pos]]))[0]
+            self._dw_fw[j] = dw_fw[pos]
+            self._dw_bw[j] = dw_bw[pos]
+            self._seq_fw[j] = fw
+            self._seq_bw[j] = bw
+            self._b0[j] = 0.0
+            if tree is not None:
+                repair_leaf(tree, j, fw + bw)
                 self.repaired_leaves += 1
         self.stats.sequential_rate_evaluations += 2 * len(indices)
         self.stats.flagged_recalculations += len(indices)
@@ -240,8 +279,9 @@ def run_toggled(fast, ref, vectors, blocks, events):
 def test_set_matches_reference(
     monkeypatch, superconducting, temperature, threshold
 ):
-    """The superconducting SET stays on the Python path, recomputes
-    through its numpy branch and draws without the sampling tree."""
+    """The superconducting SET stays on the Python path and draws
+    without the sampling tree; its scalar table lookups must give the
+    reference's numpy array lookups bit for bit."""
     config = SimulationConfig(
         temperature=temperature, seed=11, event_hash=True,
         full_refresh_interval=1500,

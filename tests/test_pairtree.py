@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuit import build_set
+from repro.circuit import Superconductor, build_junction_array, build_set
+from repro.constants import MEV
 from repro.core import SimulationConfig
 from repro.core.engine import MonteCarloEngine
 from repro.core.event_solver import choose_pair
@@ -202,29 +203,51 @@ class TestTopOfRangeDraw:
         """Cooper-pair and cotunneling channels follow the pair rule: a
         target at ``nextafter(total, 0)`` that the cumulative sum of
         the secondary rates falls short of takes the last channel with
-        a positive rate, never a zero-rate one at the end."""
-        config = SimulationConfig(solver="nonadaptive", seed=1)
-        solver = MonteCarloEngine(build_set(), config).solver
+        a positive rate, never a zero-rate one at the end.  The channel
+        index maps to its event: Cooper pairs forward on each junction,
+        then backward, then the cotunneling paths."""
+        superconductor = Superconductor(delta0=0.2 * MEV, tc=1.2)
+        circuits = [(build_set(superconductor=superconductor), False)] + [
+            (build_junction_array(n), True) for n in (2, 10, 41)
+        ]
+        solvers = [
+            MonteCarloEngine(circuit, SimulationConfig(
+                solver="nonadaptive", seed=1, temperature=0.05,
+                include_cotunneling=cotunneling,
+            )).solver
+            for circuit, cotunneling in circuits
+        ]
         for _ in range(self.TREES):
-            n = int(rng.integers(1, 80))
+            solver = solvers[int(rng.integers(len(solvers)))]
+            pairs = solver.n_junctions if solver.model.include_cooper_pairs else 0
+            n = 2 * pairs + len(solver.model.paths)
             secondary = random_rates(rng, n)
             secondary[n - int(rng.integers(1, n + 1)):] = 0.0
             if not np.any(secondary):
                 continue
-            fw, bw = random_rates(rng, 2), random_rates(rng, 2)
-            payloads = [
-                (EventKind.COOPER_PAIR, k % 2, +1, float(k)) for k in range(n)
-            ]
+            # each channel's free-energy change is its index
+            index = np.arange(n, dtype=float)
+            energies = (index[:pairs], index[pairs:2 * pairs], index[2 * pairs:])
+            fw = random_rates(rng, solver.n_junctions)
+            bw = random_rates(rng, solver.n_junctions)
             # residence-time draw, then the top of the range:
             # (1 - 2**-53) * total rounds to nextafter(total, 0)
             solver.rng = TopOfRange()
-            event = solver._select_and_apply(
-                fw, bw, secondary, payloads, np.zeros(2), np.zeros(2)
-            )
-            if event.kind is EventKind.COOPER_PAIR:
-                assert secondary[int(event.dw)] > 0.0
-            else:
+            zeros = np.zeros(solver.n_junctions)
+            event = solver._select_and_apply(fw, bw, secondary, energies, zeros, zeros)
+            if event.kind is EventKind.SEQUENTIAL:
                 assert (fw + bw)[event.junction] > 0.0
+                continue
+            k = int(event.dw)
+            assert secondary[k] > 0.0
+            if event.kind is EventKind.COOPER_PAIR:
+                assert k < 2 * pairs and event.n_electrons == 2
+                assert (event.junction, event.direction) == (
+                    (k, +1) if k < pairs else (k - pairs, -1)
+                )
+            else:
+                assert event.path is solver.model.paths[k - 2 * pairs]
+                assert event.junction == event.path.junction_in
 
 
 class TopOfRange:

@@ -1,10 +1,13 @@
 """Tests for quasi-particle tunneling (Eq. 3) and its rate tables."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.constants import E_CHARGE, K_B, MEV
 from repro.errors import PhysicsError
+from repro.physics.bcs import bcs_gap
 from repro.physics.orthodox import orthodox_rate
 from repro.physics.quasiparticle import (
     QuasiparticleRateTable,
@@ -121,3 +124,68 @@ class TestRateTable:
     def test_rejects_tiny_table(self):
         with pytest.raises(PhysicsError):
             QuasiparticleRateTable(R, DELTA, DELTA, 0.3, n_points=2)
+
+
+class TestScalarLookup:
+    """A float lookup must give the array lookup's bits: the solvers'
+    scalar route reproduces ``np.interp`` and the numpy extension, so
+    no event stream depends on which route ran."""
+
+    @pytest.fixture(scope="class", params=[0.0, 0.05, 0.52], ids=lambda t: f"T={t}")
+    def table(self, request):
+        temperature = request.param
+        gap = bcs_gap(temperature, DELTA, 1.2)
+        # the span TunnelingModel gives its tables
+        span = 32.0 * gap + 120.0 * K_B * temperature
+        return QuasiparticleRateTable(1e6, gap, gap, temperature, dw_max=span)
+
+    @staticmethod
+    def arguments(table, rng):
+        grid = table._grid
+        span = table.dw_max
+        return np.concatenate([
+            grid,
+            np.nextafter(grid, -np.inf),
+            np.nextafter(grid, np.inf),
+            [-span, span, grid[0], grid[-1]],
+            rng.uniform(-1.3 * span, 1.3 * span, 20000),
+            -span * 10.0 ** rng.uniform(0.0, 4.0, 5000),
+        ])
+
+    def test_scalar_route_matches_array_route_bit_for_bit(self, table, rng):
+        mismatches = []
+        for x in self.arguments(table, rng).tolist():
+            scalar = table(x)
+            array = table(np.array([x]))[0]
+            if scalar.hex() != float(array).hex():
+                mismatches.append((x.hex(), scalar.hex(), float(array).hex()))
+        assert not mismatches, mismatches[:5]
+
+    def test_extension_uses_numpy_expm1(self, rng):
+        """Below a span of a few kT the extension's ``expm1`` arguments
+        are moderate, where libm's and numpy's results may differ in
+        the last bit; the float route must round as numpy does."""
+        temperature = 0.52
+        kt = K_B * temperature
+        table = QuasiparticleRateTable(
+            1e6, 0.01 * kt, 0.01 * kt, temperature, dw_max=2.0 * kt, n_points=101
+        )
+        for x in (-2.0 * kt - kt * rng.uniform(0.0, 30.0, 20000)).tolist():
+            assert table(x).hex() == float(table(np.array([x]))[0]).hex(), x
+
+    def test_nan_in_nan_out(self, table):
+        assert math.isnan(table(math.nan))
+        assert math.isnan(table(np.array([math.nan]))[0])
+
+    def test_numpy_scalars_take_the_float_route(self, table, monkeypatch):
+        xs = [0.3 * table.dw_max, -0.7 * table.dw_max, -5.0 * table.dw_max]
+        expected = [table(np.array([x]))[0] for x in xs]
+
+        def no_interp(*args, **kwargs):
+            raise AssertionError("the array route ran")
+
+        monkeypatch.setattr(np, "interp", no_interp)
+        for x, want in zip(xs, expected):
+            got = table(np.float64(x))
+            assert type(got) is float
+            assert got.hex() == float(want).hex()

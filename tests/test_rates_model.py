@@ -1,5 +1,7 @@
 """Tests for the per-circuit TunnelingModel bundle."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,18 @@ class TestSuperconductingModel:
     def test_qp_tables_shared_between_identical_junctions(self, sset_circuit):
         model = make_model(sset_circuit, temperature=0.05)
         assert model._qp_tables[0] is model._qp_tables[1]
+
+    def test_qp_tables_shared_between_models_of_one_circuit(self, sset_circuit):
+        """Engines on one circuit take the circuit's tables; they stay
+        out of its pickle, so shard payload digests do not change."""
+        before = pickle.dumps(sset_circuit)
+        first = make_model(sset_circuit, temperature=0.05)
+        second = make_model(sset_circuit, temperature=0.05)
+        assert first._qp_tables[0] is second._qp_tables[0]
+        assert not first._qp_tables[0]._rates.flags.writeable
+        other = make_model(sset_circuit, temperature=0.1)
+        assert other._qp_tables[0] is not first._qp_tables[0]
+        assert pickle.dumps(sset_circuit) == before
 
     def test_cotunneling_on_superconducting_circuit_rejected(self, sset_circuit):
         with pytest.raises(PhysicsError):
