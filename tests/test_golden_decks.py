@@ -6,7 +6,10 @@ voltages and currents as ``float.hex()`` strings (no round-trip loss)
 plus the dsan combined event hash.  The tests replay every deck
 serially and at ``jobs=2`` and demand byte-identical results — the
 whole solver stack (physics, adaptive scheduling, shard/merge,
-hashing) is pinned at once.
+hashing) is pinned at once.  A sweep deck's record also pins its
+default ``deck.run(seed=0)`` (one chunk, no event hash): the currents
+as ``serial_currents`` and the solver's event count as
+``serial_events``.
 
 Regenerate after an intentional physics/RNG change with::
 
@@ -54,6 +57,31 @@ def _golden_file(path: Path) -> Path:
     return GOLDEN_DIR / f"{path.stem}.json"
 
 
+#: golden fields written by :func:`test_sweep_deck_default_run_matches_golden`
+SERIAL_FIELDS = ("serial_currents", "serial_events")
+
+SWEEP_DECKS = [
+    p for p in DECKS if parse_semsim(p.read_text()).sweep is not None
+]
+
+
+def _write_golden(path: Path, fields: dict) -> None:
+    """Rewrite ``fields`` of a golden record, keeping its other fields."""
+    golden_file = _golden_file(path)
+    record = (
+        json.loads(golden_file.read_text()) if golden_file.exists() else {}
+    )
+    record.update(fields)
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    golden_file.write_text(json.dumps(record, indent=2) + "\n")
+
+
+def _golden_run_record(path: Path) -> dict:
+    """The committed record without the default-run fields."""
+    golden = json.loads(_golden_file(path).read_text())
+    return {k: v for k, v in golden.items() if k not in SERIAL_FIELDS}
+
+
 @pytest.mark.parametrize("deck_path", DECKS, ids=lambda p: p.stem)
 def test_deck_matches_golden_serial(deck_path, update_golden):
     curve = _run_deck(deck_path)
@@ -61,14 +89,13 @@ def test_deck_matches_golden_serial(deck_path, update_golden):
     record = _record(deck_path, curve)
     golden_file = _golden_file(deck_path)
     if update_golden:
-        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-        golden_file.write_text(json.dumps(record, indent=2) + "\n")
+        _write_golden(deck_path, record)
         return
     assert golden_file.exists(), (
         f"missing golden record {golden_file.name}; generate it with "
         "pytest tests/test_golden_decks.py --update-golden"
     )
-    assert record == json.loads(golden_file.read_text())
+    assert record == _golden_run_record(deck_path)
 
 
 @pytest.mark.parametrize("deck_path", DECKS, ids=lambda p: p.stem)
@@ -77,9 +104,24 @@ def test_deck_matches_golden_parallel(deck_path, update_golden):
     if update_golden:
         pytest.skip("golden records are rewritten by the serial test")
     curve = _run_deck(deck_path, jobs=2)
-    assert _record(deck_path, curve) == json.loads(
-        _golden_file(deck_path).read_text()
-    )
+    assert _record(deck_path, curve) == _golden_run_record(deck_path)
+
+
+@pytest.mark.parametrize("deck_path", SWEEP_DECKS, ids=lambda p: p.stem)
+def test_sweep_deck_default_run_matches_golden(deck_path, update_golden):
+    """The default ``deck.run(seed=0)`` reproduces its pinned currents
+    and event count bit for bit."""
+    curve = parse_semsim(deck_path.read_text()).run(seed=0)
+    assert curve.stats is not None
+    fields = {
+        "serial_currents": [float(c).hex() for c in curve.currents],
+        "serial_events": int(curve.stats.events),
+    }
+    if update_golden:
+        _write_golden(deck_path, fields)
+        return
+    golden = json.loads(_golden_file(deck_path).read_text())
+    assert fields == {name: golden.get(name) for name in SERIAL_FIELDS}
 
 
 def test_golden_corpus_is_complete_and_has_no_strays():
