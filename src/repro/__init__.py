@@ -57,13 +57,12 @@ from repro.errors import (
     SimulationError,
 )
 from repro.parallel import EnsembleIV, ensemble_iv
-from repro.recovery import CheckpointStore, ExecutionPolicy
+from repro.recovery import ExecutionPolicy
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ChargeState",
-    "CheckpointStore",
     "Circuit",
     "CircuitBuilder",
     "CircuitError",

@@ -10,8 +10,8 @@ or cached sweep that shares that fingerprint:
     correctness never depends on it.
 ``cells/<cell key>.json``
     One computed cell: the pickled result (base64 + blake2b checksum,
-    reusing the checkpoint manifest's codec), its dsan event-stream
-    hash, the code version that computed it and a UTC timestamp.  Each
+    see :func:`encode_result`), its dsan event-stream hash, the code
+    version that computed it and a UTC timestamp.  Each
     cell is written atomically (temp file + ``os.replace``), so a crash
     mid-write never leaves a torn cell.
 
@@ -32,6 +32,7 @@ a miss, so the batch recomputes it and overwrites the bad file.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import json
@@ -40,14 +41,13 @@ import pickle
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro.errors import CampaignError, RecoveryError
+from repro.errors import CampaignError
 from repro.ioutil import write_atomic_text
 from repro.monitor.ledger import (
     _detect_code_version,
     fingerprint_workload,
     repro_cache_dir,
 )
-from repro.recovery.manifest import decode_result, encode_result
 from repro.telemetry import registry as _telemetry
 from repro.telemetry.clock import utc_time
 
@@ -71,6 +71,38 @@ def _hash_text(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
+def _digest(raw: bytes) -> str:
+    return hashlib.blake2b(raw, digest_size=16).hexdigest()
+
+
+def encode_result(result: Any) -> tuple[str, str]:
+    """Pickle ``result``; return ``(base64 payload, checksum)``."""
+    try:
+        raw = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # repro: allow[REPRO001] pickle raises arbitrary types
+        raise CampaignError(
+            f"shard result of type {type(result).__name__} cannot be "
+            f"stored: {exc}"
+        ) from exc
+    return base64.b64encode(raw).decode("ascii"), _digest(raw)
+
+
+def decode_result(payload: str, checksum: str) -> Any:
+    """Inverse of :func:`encode_result`; raises :class:`CampaignError`
+    when the payload is not base64, fails its checksum or cannot be
+    unpickled."""
+    try:
+        raw = base64.b64decode(payload.encode("ascii"), validate=True)
+    except (ValueError, UnicodeEncodeError) as exc:
+        raise CampaignError("cell payload is not valid base64") from exc
+    if _digest(raw) != checksum:
+        raise CampaignError("cell is corrupt: payload checksum mismatch")
+    try:
+        return pickle.loads(raw)
+    except Exception as exc:  # repro: allow[REPRO001] pickle raises arbitrary types
+        raise CampaignError(f"cell payload cannot be unpickled: {exc}") from exc
+
+
 def payload_cell_key(worker: Callable[..., Any], payload: Any) -> str:
     """Content address of one shard: worker identity + payload pickle.
 
@@ -86,10 +118,7 @@ def payload_cell_key(worker: Callable[..., Any], payload: Any) -> str:
             f"content-addressed for caching: {exc}"
         ) from exc
     ident = f"{worker.__module__}.{worker.__qualname__}"
-    return _hash_text(
-        f"shard|{ident}|"
-        f"{hashlib.blake2b(raw, digest_size=16).hexdigest()}|{CELL_SCHEMA}"
-    )
+    return _hash_text(f"shard|{ident}|{_digest(raw)}|{CELL_SCHEMA}")
 
 
 def _count(name: str, n: int = 1) -> None:
@@ -189,9 +218,9 @@ class WorkloadStore:
             return self._drop_corrupt(path)
         try:
             result = decode_result(
-                str(record["payload"]), str(record["checksum"]), 0
+                str(record["payload"]), str(record["checksum"])
             )
-        except (KeyError, ValueError, RecoveryError):
+        except (KeyError, CampaignError):
             return self._drop_corrupt(path)
         return result, record
 
@@ -245,6 +274,16 @@ class CampaignStore:
 
     def __init__(self, root: str | Path | None = None):
         self.root = Path(root) if root is not None else default_campaign_root()
+        # fail before any simulation when the store could never be
+        # written: the root, or its nearest existing ancestor, is a file
+        existing = next(
+            (p for p in (self.root, *self.root.parents) if p.exists()), None
+        )
+        if existing is not None and not existing.is_dir():
+            raise CampaignError(
+                f"campaign store {self.root} is not usable: {existing} "
+                "is not a directory"
+            )
 
     def workload(self, fingerprint: str) -> WorkloadStore:
         return WorkloadStore(self.root, fingerprint)

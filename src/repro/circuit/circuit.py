@@ -80,7 +80,7 @@ class Circuit:
         default dataclass state — making a circuit's pickle bytes
         depend on *which views have been touched so far*.  That breaks
         every consumer that treats the pickle as a content address
-        (campaign cell keys, checkpoint run fingerprints) and ships
+        (campaign cell keys) and ships
         redundant derived data to pool workers, who rebuild the caches
         lazily anyway.
         """

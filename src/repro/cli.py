@@ -10,11 +10,9 @@ this CLI reproduces that workflow:
     ``--chunks M`` splits it into independently seeded voltage chunks;
     results depend only on the chunk layout, never on the worker
     count, so ``--jobs 4`` reproduces ``--jobs 1`` bit for bit.
-    ``--checkpoint DIR`` persists each completed shard to an atomic
-    manifest and ``--resume`` continues an interrupted run from it
-    (bit-identically — same arrays, same combined event hash);
     ``--retries``/``--shard-timeout`` tune the fault-tolerance policy
-    for dead or wedged workers.
+    for dead or wedged workers; ``--campaign DIR`` (below) keeps each
+    finished shard, so an interrupted run resumes by rerunning it.
 ``python -m repro info deck.txt``
     Parse and validate a deck, reporting the circuit statistics and a
     one-line static-analysis summary.  ``--probe N`` additionally runs
@@ -63,10 +61,13 @@ this CLI reproduces that workflow:
 ``python -m repro run deck.txt --campaign DIR``
     Consult the persistent content-addressed result store under
     ``DIR`` before simulating: sweep shards already computed are
-    replayed from the store, fresh ones are persisted as they land.  A
-    re-run of the same deck computes nothing and returns bit-identical
-    results (same combined event hash); a ``campaign cache: N cached,
-    M computed`` summary goes to stderr.
+    replayed from the store, fresh ones are persisted as they land.
+    This is the resume path: rerunning an interrupted run on the same
+    store computes only the missing shards, and a rerun of a finished
+    one computes nothing; both return bit-identical results (same
+    combined event hash).  A changed deck, config or seed addresses
+    different cells, so it is computed afresh.  A ``campaign cache: N
+    cached, M computed`` summary goes to stderr.
 ``python -m repro campaign run deck.txt --param g=0:0.1:21 ...``
     Parameter-space campaigns (ns-3 ``sem`` style): cross the deck's
     workload with explicit ``--param`` axes and ``--replicas``, then
@@ -160,20 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "JSON; '.jsonl' suffix selects JSON Lines)",
     )
     run.add_argument(
-        "--checkpoint", type=Path, default=None, metavar="DIR",
-        help="persist each completed sweep shard to an atomic manifest "
-             "under DIR (forces the shard/merge path and event-stream "
-             "hashing); combine with --resume to continue an "
-             "interrupted run bit-identically",
-    )
-    run.add_argument(
-        "--resume", action="store_true",
-        help="resume from the manifest under --checkpoint DIR: "
-             "completed shards are replayed, only the remainder is "
-             "simulated; a manifest from a different deck/config/seed "
-             "is a hard error",
-    )
-    run.add_argument(
         "--retries", type=int, default=2, metavar="N",
         help="retries per shard after a worker dies or times out "
              "(default 2); a retried shard reuses its own spawned "
@@ -212,10 +199,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--campaign", type=Path, default=None, metavar="DIR",
         help="consult the content-addressed result store under DIR "
              "before simulating: sweep shards already computed are "
-             "replayed, fresh ones are persisted (forces the "
-             "shard/merge path and event hashing, so a fully cached "
-             "re-run is bit-identical); a 'campaign cache: N cached, "
-             "M computed' summary is printed on stderr",
+             "replayed, fresh ones are persisted as they finish, so "
+             "rerunning an interrupted run resumes it (forces event "
+             "hashing; a cached rerun is bit-identical); a 'campaign "
+             "cache: N cached, M computed' summary is printed on stderr",
     )
 
     info = sub.add_parser("info", help="parse and describe a deck")
@@ -533,13 +520,6 @@ def _cmd_run(args) -> int:
 
     deck = parse_semsim(args.deck.read_text(), strict=args.strict)
 
-    checkpoint = None
-    if args.resume and args.checkpoint is None:
-        raise SimulationError("--resume requires --checkpoint DIR")
-    if args.checkpoint is not None:
-        from repro.recovery import CheckpointStore
-
-        checkpoint = CheckpointStore(args.checkpoint, resume=args.resume)
     policy = None
     if args.retries != 2 or args.shard_timeout is not None:
         from repro.recovery import ExecutionPolicy
@@ -558,7 +538,7 @@ def _cmd_run(args) -> int:
             return deck.run(
                 solver=args.solver, seed=args.seed,
                 jobs=args.jobs, chunks=args.chunks,
-                checkpoint=checkpoint, policy=policy, campaign=campaign,
+                policy=policy, campaign=campaign,
             )
         # shadow-run verification: execute the identically seeded deck
         # twice with the pool boundary armed, compare the event-stream
@@ -572,7 +552,7 @@ def _cmd_run(args) -> int:
             curves.append(deck.run(
                 solver=args.solver, seed=args.seed,
                 jobs=args.jobs, chunks=args.chunks, dsan=True,
-                checkpoint=checkpoint, policy=policy, campaign=campaign,
+                policy=policy, campaign=campaign,
             ))
             return curves[-1].event_hash
 

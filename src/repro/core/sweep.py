@@ -11,13 +11,19 @@ units are executed through :func:`repro.parallel.pool.execute_shards`
 — inline for ``jobs=1``, across a process pool for ``jobs>1``.  The
 shard layout (and therefore the result) is a function of the problem
 alone; ``jobs`` only changes how fast the same numbers appear.
+
+:func:`sweep_iv`, :func:`sweep_map` and
+:func:`repro.parallel.ensemble_iv` differ only in how they cut their
+work into shards; everything else — the campaign store, the run
+ledger, the telemetry span, the pool and the merge of solver work and
+event hashes — is :func:`run_sweep_shards`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +36,6 @@ from repro.errors import FrozenCircuitError, SimulationError
 from repro.monitor.ledger import run_scope
 from repro.parallel.pool import execute_shards
 from repro.parallel.seeds import spawn_seeds
-from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.policy import ExecutionPolicy
 from repro.telemetry import registry as _telemetry
 
@@ -180,17 +185,76 @@ def _run_map_row(row: _MapRow) -> _ShardResult:
     )
 
 
-def _merge_stats(results: Sequence[_ShardResult]) -> SolverStats:
-    """Sum the per-shard work counters in shard order."""
-    return SolverStats().merge(*(r.stats for r in results))
-
-
-def _merge_hashes(results: Sequence[_ShardResult]) -> str | None:
+def _merge_hashes(results: Sequence[Any]) -> str | None:
     """Fold the per-shard digests in shard order (``None`` when off)."""
     hashes = [r.event_hash for r in results]
     if any(h is None for h in hashes):
         return None
     return fold_hashes([h for h in hashes if h is not None])
+
+
+def run_sweep_shards(
+    kind: str,
+    worker: Callable[[Any], Any],
+    make_shards: Callable[[SimulationConfig], list[Any]],
+    circuit: Circuit,
+    config: SimulationConfig | None,
+    values: np.ndarray,
+    jumps_per_point: int,
+    *,
+    span: tuple[str, str, dict[str, Any]],
+    label: str = "",
+    jobs: int | None = 1,
+    policy: ExecutionPolicy | None = None,
+    campaign: "CampaignStore | str | Path | None" = None,
+    chunks: int | None = None,
+    replicas: int | None = None,
+) -> tuple[list[Any], SolverStats, str | None]:
+    """Run one sweep's shards; the single execution path of every sweep.
+
+    ``make_shards(config)`` cuts the work into picklable payloads for
+    ``worker``; each result must carry ``stats`` and ``event_hash``.
+    With ``campaign`` (a :class:`repro.campaign.CampaignStore` or its
+    directory) event hashing is forced before the shards are cut, so
+    cached and computed shards are interchangeable, and every shard is
+    looked up in the store before it runs and stored when it finishes:
+    a rerun of an interrupted sweep computes only the missing shards.
+    ``span`` is the ``(name, category, attributes)`` of the telemetry
+    span around the pool; ``kind``, ``values``, ``label``, ``chunks``
+    and ``replicas`` identify the run in the ledger and the store.
+
+    Returns the results in shard order, their merged
+    :class:`~repro.core.base.SolverStats` and the fold-order combined
+    event hash (``None`` unless hashing was on).
+    """
+    cfg = config if config is not None else SimulationConfig()
+    if campaign is not None:
+        cfg = cfg.replace(event_hash=True)
+    shards = make_shards(cfg)
+    cache = None
+    if campaign is not None:
+        from repro.campaign.store import bind_sweep_cache
+
+        cache = bind_sweep_cache(
+            campaign, circuit, cfg, kind=kind,
+            values=values, jumps_per_point=jumps_per_point, label=label,
+        )
+    with run_scope(kind) as recorder:
+        name, category, attrs = span
+        with _telemetry.span(name, category=category, **attrs):
+            results = execute_shards(
+                worker, shards, jobs=jobs, policy=policy, cache=cache,
+            )
+        stats = SolverStats().merge(*(r.stats for r in results))
+        event_hash = _merge_hashes(results)
+        if recorder is not None:
+            recorder.commit(
+                circuit=circuit, config=cfg, values=values,
+                jumps_per_point=jumps_per_point, label=label,
+                jobs=jobs, chunks=chunks, replicas=replicas,
+                stats=stats, event_hash=event_hash,
+            )
+    return results, stats, event_hash
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +273,6 @@ def sweep_iv(
     *,
     chunks: int = 1,
     jobs: int | None = 1,
-    checkpoint: CheckpointStore | None = None,
     policy: ExecutionPolicy | None = None,
     campaign: "CampaignStore | str | Path | None" = None,
 ) -> IVCurve:
@@ -242,12 +305,6 @@ def sweep_iv(
         Worker processes executing the chunks (``None``/``0`` = all
         cores).  For a fixed ``chunks`` the result is bit-identical for
         every ``jobs`` value — only the wall-clock changes.
-    checkpoint:
-        A :class:`repro.recovery.CheckpointStore`: each completed chunk
-        is persisted to its manifest, and a store opened with
-        ``resume=True`` replays previously completed chunks.  Because
-        chunk seeds are spawned statelessly, the resumed curve is
-        bit-identical to an uninterrupted run.
     policy:
         A :class:`repro.recovery.ExecutionPolicy` controlling per-chunk
         retry, timeout and pool-rebuild behaviour.
@@ -255,77 +312,59 @@ def sweep_iv(
         A :class:`repro.campaign.CampaignStore` (or its directory
         path): every chunk is first looked up in the durable
         content-addressed store and freshly computed chunks are
-        persisted as they land, so re-running the same sweep computes
-        nothing and returns bit-identical results.  Forces event-stream
-        hashing (the cache's bit-identity oracle).
+        persisted as they land, so rerunning an interrupted sweep
+        computes only the missing chunks, and rerunning a finished one
+        computes nothing; either way the curve is bit-identical.
+        Forces event-stream hashing (the cache's bit-identity oracle).
     """
     if source_setter is None:
         source_setter = symmetric_bias()
-    cfg = config if config is not None else SimulationConfig()
-    if campaign is not None:
-        # force the hash before shard configs are derived, so cached
-        # and computed chunks are interchangeable and provably equal
-        cfg = cfg.replace(event_hash=True)
     if chunks < 1:
         raise SimulationError(f"chunks must be >= 1, got {chunks}")
     volts = np.asarray(voltages, dtype=float)
     n_chunks = max(1, min(chunks, len(volts)))
-    if n_chunks == 1:
-        # the historical serial path: the root seed drives the single
-        # engine directly, bit-for-bit as before sharding existed
-        shard_configs = [cfg]
-    else:
-        shard_configs = [
-            cfg.replace(seed=s) for s in spawn_seeds(cfg.seed, n_chunks)
-        ]
     pieces = np.array_split(volts, n_chunks)
-    shards = [
-        _IVChunk(
-            index=i,
-            circuit=circuit,
-            config=shard_configs[i],
-            voltages=pieces[i],
-            jumps_per_point=jumps_per_point,
-            junctions=list(measure_junctions),
-            orientations=list(orientations) if orientations is not None else None,
-            source_setter=source_setter,
-        )
-        for i in range(n_chunks)
-    ]
-    cache = None
-    if campaign is not None:
-        from repro.campaign.store import bind_sweep_cache
 
-        cache = bind_sweep_cache(
-            campaign, circuit, cfg, kind="sweep_iv",
-            values=volts, jumps_per_point=jumps_per_point, label=label,
-        )
-    with run_scope("sweep_iv") as recorder:
-        with _telemetry.span(
-            "sweep.iv", category="sweep",
-            points=len(volts), label=label, chunks=n_chunks,
-        ):
-            results = execute_shards(
-                _run_iv_chunk, shards, jobs=jobs,
-                policy=policy, checkpoint=checkpoint, cache=cache,
+    def make_shards(cfg: SimulationConfig) -> list[_IVChunk]:
+        if n_chunks == 1:
+            # the historical serial path: the root seed drives the
+            # single engine directly, bit-for-bit as before sharding
+            shard_configs = [cfg]
+        else:
+            shard_configs = [
+                cfg.replace(seed=s) for s in spawn_seeds(cfg.seed, n_chunks)
+            ]
+        return [
+            _IVChunk(
+                index=i,
+                circuit=circuit,
+                config=shard_configs[i],
+                voltages=pieces[i],
+                jumps_per_point=jumps_per_point,
+                junctions=list(measure_junctions),
+                orientations=(
+                    list(orientations) if orientations is not None else None
+                ),
+                source_setter=source_setter,
             )
-        currents = (
-            np.concatenate([r.currents for r in results])
-            if results else np.empty(0)
-        )
-        curve = IVCurve(
-            volts, currents, label,
-            stats=_merge_stats(results),
-            event_hash=_merge_hashes(results),
-        )
-        if recorder is not None:
-            recorder.commit(
-                circuit=circuit, config=cfg, values=volts,
-                jumps_per_point=jumps_per_point, label=label,
-                jobs=jobs, chunks=n_chunks,
-                stats=curve.stats, event_hash=curve.event_hash,
-            )
-    return curve
+            for i in range(n_chunks)
+        ]
+
+    results, stats, event_hash = run_sweep_shards(
+        "sweep_iv", _run_iv_chunk, make_shards, circuit, config, volts,
+        jumps_per_point,
+        span=(
+            "sweep.iv", "sweep",
+            {"points": len(volts), "label": label, "chunks": n_chunks},
+        ),
+        label=label, jobs=jobs, policy=policy, campaign=campaign,
+        chunks=n_chunks,
+    )
+    currents = (
+        np.concatenate([r.currents for r in results])
+        if results else np.empty(0)
+    )
+    return IVCurve(volts, currents, label, stats=stats, event_hash=event_hash)
 
 
 def sweep_master_iv(
@@ -427,7 +466,6 @@ def sweep_map(
     gate_source: str = "vg",
     *,
     jobs: int | None = 1,
-    checkpoint: CheckpointStore | None = None,
     policy: ExecutionPolicy | None = None,
     campaign: "CampaignStore | str | Path | None" = None,
 ) -> CurrentMap:
@@ -437,70 +475,51 @@ def sweep_map(
     charge state evolves continuously, as in the measurement the paper
     reproduces from [17].  Every row draws an independent seed spawned
     from ``config.seed`` — rows are decorrelated MC experiments, and
-    the map is bit-identical for every ``jobs`` value.  ``checkpoint``
-    persists each completed row (resumable via ``resume=True``);
-    ``policy`` adds per-row retry/timeout fault tolerance; ``campaign``
-    caches completed rows in the durable content-addressed store (and
-    forces event hashing), so an identical map re-run computes nothing.
+    the map is bit-identical for every ``jobs`` value.  ``policy`` adds
+    per-row retry/timeout fault tolerance; ``campaign`` keeps completed
+    rows in the durable content-addressed store (and forces event
+    hashing), so a rerun of an interrupted map computes only the
+    missing rows and a rerun of a finished one computes nothing.
     """
     if not len(bias_voltages) or not len(gate_voltages):
         raise SimulationError("sweep_map needs non-empty grids")
     if bias_setter is None:
         bias_setter = symmetric_bias()
-    cfg = config if config is not None else SimulationConfig()
-    if campaign is not None:
-        cfg = cfg.replace(event_hash=True)
     biases = np.asarray(bias_voltages, dtype=float)
     gates = np.asarray(gate_voltages, dtype=float)
-    # independent per-row seeds: with a shared seed every row would
-    # replay the identical RNG stream and their MC noise would be
-    # perfectly correlated
-    row_seeds = spawn_seeds(cfg.seed, len(gates))
-    shards = [
-        _MapRow(
-            index=gi,
-            circuit=circuit,
-            config=cfg.replace(seed=row_seeds[gi]),
-            gate_voltage=float(vg),
-            gate_source=gate_source,
-            bias_voltages=biases,
-            jumps_per_point=jumps_per_point,
-            junctions=list(measure_junctions),
-            orientations=list(orientations) if orientations is not None else None,
-            bias_setter=bias_setter,
-        )
-        for gi, vg in enumerate(gates)
-    ]
-    cache = None
-    if campaign is not None:
-        from repro.campaign.store import bind_sweep_cache
 
-        cache = bind_sweep_cache(
-            campaign, circuit, cfg, kind="sweep_map",
-            values=np.concatenate([biases, gates]),
-            jumps_per_point=jumps_per_point,
-        )
-    with run_scope("sweep_map") as recorder:
-        with _telemetry.span(
-            "sweep.map", category="sweep",
-            rows=len(gates), points=len(biases),
-        ):
-            results = execute_shards(
-                _run_map_row, shards, jobs=jobs,
-                policy=policy, checkpoint=checkpoint, cache=cache,
+    def make_shards(cfg: SimulationConfig) -> list[_MapRow]:
+        # independent per-row seeds: with a shared seed every row would
+        # replay the identical RNG stream and their MC noise would be
+        # perfectly correlated
+        row_seeds = spawn_seeds(cfg.seed, len(gates))
+        return [
+            _MapRow(
+                index=gi,
+                circuit=circuit,
+                config=cfg.replace(seed=row_seeds[gi]),
+                gate_voltage=float(vg),
+                gate_source=gate_source,
+                bias_voltages=biases,
+                jumps_per_point=jumps_per_point,
+                junctions=list(measure_junctions),
+                orientations=(
+                    list(orientations) if orientations is not None else None
+                ),
+                bias_setter=bias_setter,
             )
-        currents = np.vstack([r.currents for r in results])
-        cmap = CurrentMap(
-            biases, gates, currents,
-            stats=_merge_stats(results),
-            event_hash=_merge_hashes(results),
-        )
-        if recorder is not None:
-            recorder.commit(
-                circuit=circuit, config=cfg,
-                values=np.concatenate([biases, gates]),
-                jumps_per_point=jumps_per_point, jobs=jobs,
-                chunks=len(gates),
-                stats=cmap.stats, event_hash=cmap.event_hash,
-            )
-    return cmap
+            for gi, vg in enumerate(gates)
+        ]
+
+    results, stats, event_hash = run_sweep_shards(
+        "sweep_map", _run_map_row, make_shards, circuit, config,
+        np.concatenate([biases, gates]), jumps_per_point,
+        span=(
+            "sweep.map", "sweep", {"rows": len(gates), "points": len(biases)},
+        ),
+        jobs=jobs, policy=policy, campaign=campaign, chunks=len(gates),
+    )
+    currents = np.vstack([r.currents for r in results])
+    return CurrentMap(
+        biases, gates, currents, stats=stats, event_hash=event_hash,
+    )

@@ -65,13 +65,12 @@ class SanitizerError(SemsimError):
 
 class RecoveryError(SimulationError):
     """Raised by the fault-tolerant execution layer (``repro.recovery``)
-    when a shard exhausts its retry budget, a checkpoint manifest is
-    corrupt or belongs to a different run, or a resume is requested
-    without anything to resume from.
+    when a shard exhausts its retry budget or the worker pool breaks
+    more often than the policy allows.
 
     Carries the failing shard index in :attr:`shard` and the number of
     attempts charged to it in :attr:`attempts` (both ``None`` for
-    manifest-level failures); the underlying worker exception, if any,
+    pool-level failures); the underlying worker exception, if any,
     rides along as ``__cause__``.
     """
 

@@ -16,7 +16,9 @@ cache will key on:
     The per-solver throughput trajectory ``repro report`` matches
     across runs.
 ``counters``
-    Recovery/pool activity: resume hits, shard retries, pool rebuilds.
+    Pool and cache activity: shard retries, pool rebuilds, campaign
+    cell hits and cells computed (older records may also carry
+    ``resume_hits``; :mod:`repro.monitor.report` ignores it).
 ``event_hash``
     The dsan combined event-stream hash when the run maintained one.
 
@@ -57,7 +59,6 @@ SCHEMA_VERSION = 1
 #: Recovery/pool/cache counters copied from the parent telemetry
 #: registry into each record (deltas over the run).
 TRACKED_COUNTERS = (
-    "recovery.resume_hits",
     "recovery.shards_retried",
     "recovery.pool_rebuilds",
     "campaign.cell_hits",

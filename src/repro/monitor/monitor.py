@@ -4,8 +4,8 @@ The monitor aggregates two information streams about an executing
 shard batch, both strictly *out-of-band*:
 
 * **lifecycle calls** from :func:`repro.parallel.pool.execute_shards`
-  (shard submitted / finished / retried / resumed) made directly in
-  the parent process;
+  (shard submitted / finished / retried, and shards resumed from the
+  campaign store) made directly in the parent process;
 * **progress datagrams** (:class:`repro.monitor.stream.ShardMessage`)
   that pooled workers push onto a ``multiprocessing`` manager queue —
   cumulative event counts and heartbeats, drained by the monitor's

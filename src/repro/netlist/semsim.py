@@ -66,14 +66,14 @@ from repro.circuit.components import Superconductor
 from repro.constants import EV
 from repro.core.config import SimulationConfig
 from repro.core.engine import MonteCarloEngine
-from repro.core.sweep import IVCurve
+from repro.core.sweep import IVCurve, sweep_iv
 from repro.errors import NetlistError, SimulationError
 from repro.monitor.ledger import run_scope
+from repro.parallel import ensemble_iv
 from repro.telemetry import registry as _telemetry
 
 if TYPE_CHECKING:
     from repro.campaign.store import CampaignStore
-    from repro.recovery.checkpoint import CheckpointStore
     from repro.recovery.policy import ExecutionPolicy
 
 
@@ -238,7 +238,6 @@ class SemsimDeck:
         jobs: int = 1,
         chunks: int = 1,
         dsan: bool = False,
-        checkpoint: "CheckpointStore | None" = None,
         policy: "ExecutionPolicy | None" = None,
         campaign: "CampaignStore | None" = None,
     ) -> IVCurve:
@@ -248,49 +247,42 @@ class SemsimDeck:
         :class:`repro.core.base.SolverStats` of the run in its
         ``stats`` field.
 
-        ``jobs`` distributes the work over worker processes and
-        ``chunks`` splits the sweep into independently seeded voltage
-        chunks (see :func:`repro.core.sweep.sweep_iv`); the defaults
-        run the historical serial path byte-for-byte.  A deck asking
-        for several independent runs (``jumps <count> <runs>`` with
-        ``runs > 1``) is executed as an ensemble whose replicas are
-        averaged into the returned curve.
+        A sweep runs through :func:`repro.core.sweep.sweep_iv`, or, for
+        a deck asking for several independent runs (``jumps <count>
+        <runs>`` with ``runs > 1``), through
+        :func:`repro.parallel.ensemble_iv`, whose replicas are averaged
+        into the returned curve.  ``jobs`` distributes the work over
+        worker processes and ``chunks`` splits the sweep into
+        independently seeded voltage chunks; the result depends on
+        ``chunks``, never on ``jobs``.  A frozen sweep point (every
+        rate zero, e.g. deep blockade at T = 0) records 0 A.
 
         ``dsan`` enables the runtime determinism sanitizer's
         event-stream hash: every solver maintains an order-sensitive
-        digest of its realised events, the per-shard digests fold into
-        the returned curve's ``event_hash``, and the sweep is routed
-        through the shard/merge path even at ``jobs=1``/``chunks=1`` so
-        the serial and parallel executions take the *same* code (the
-        one-chunk layout is documented byte-identical to the serial
-        loop).  Arm :func:`repro.dsan.runtime.dsan_mode` around the
-        call to additionally verify the pool boundary.
+        digest of its realised events, and the per-shard digests fold
+        into the returned curve's ``event_hash``.  Arm
+        :func:`repro.dsan.runtime.dsan_mode` around the call to
+        additionally verify the pool boundary.
 
-        ``checkpoint`` (a :class:`repro.recovery.CheckpointStore`)
-        persists each completed shard to a resumable manifest — this
-        also forces the shard/merge path and turns event hashing on, so
-        a resumed run can prove it reproduced the uninterrupted
-        combined hash; ``policy`` (an
-        :class:`repro.recovery.ExecutionPolicy`) adds per-shard
-        retry/timeout fault tolerance.
-
-        ``campaign`` (a :class:`repro.campaign.CampaignStore`) consults
-        the durable content-addressed result cache before simulating:
-        sweep shards already in the store are replayed, fresh ones are
-        persisted as they land.  Like ``checkpoint`` it forces the
-        shard/merge path and event-stream hashing, so a fully cached
-        re-run returns bit-identical arrays with the same combined
-        event hash.
+        ``policy`` (an :class:`repro.recovery.ExecutionPolicy`) adds
+        per-shard retry/timeout fault tolerance.  ``campaign`` (a
+        :class:`repro.campaign.CampaignStore`) consults the durable
+        content-addressed result store before simulating: sweep shards
+        already in the store are replayed, fresh ones are persisted as
+        they land.  It forces event-stream hashing, and it is how an
+        interrupted run resumes: rerun it on the same store, and the
+        arrays and combined event hash come out bit-identical to an
+        uninterrupted run.
         """
         with _telemetry.span("deck.build", category="deck"):
             circuit = self.build_circuit()
         config = self.config(solver, seed)
-        if dsan or checkpoint is not None or campaign is not None:
+        if dsan:
             config = config.replace(event_hash=True)
         with run_scope("deck.run") as recorder:
             curve = self._execute_deck(
                 circuit, config, jobs=jobs, chunks=chunks,
-                checkpoint=checkpoint, policy=policy, campaign=campaign,
+                policy=policy, campaign=campaign,
             )
             if recorder is not None:
                 recorder.commit(
@@ -309,24 +301,17 @@ class SemsimDeck:
         config: SimulationConfig,
         jobs: int,
         chunks: int,
-        checkpoint: "CheckpointStore | None" = None,
         policy: "ExecutionPolicy | None" = None,
         campaign: "CampaignStore | None" = None,
     ) -> IVCurve:
         """The deck's execution body (see :meth:`run`), factored out so
         the run-ledger scope wraps every path uniformly."""
-        dsan = config.event_hash
         junctions = self.recorded_junctions(circuit)
         # series junctions through one island alternate orientation;
         # infer each junction's sign from its position relative to the
         # first recorded junction's island
         orientations = _series_orientations(circuit, junctions)
         if self.sweep is None:
-            if checkpoint is not None:
-                raise SimulationError(
-                    "checkpoint/resume needs a sweep deck: an operating-"
-                    "point deck runs as a single unsharded measurement"
-                )
             if campaign is not None:
                 raise SimulationError(
                     "--campaign needs a sweep deck: an operating-point "
@@ -343,56 +328,6 @@ class SemsimDeck:
                 event_hash=engine.event_hash(),
             )
         values = self.sweep.values()
-        if (
-            jobs != 1 or chunks != 1 or self.runs > 1 or dsan
-            or checkpoint is not None or policy is not None
-            or campaign is not None
-        ):
-            return self._run_sharded(
-                circuit, config, values, junctions, orientations,
-                jobs=jobs, chunks=chunks,
-                checkpoint=checkpoint, policy=policy, campaign=campaign,
-            )
-        engine = MonteCarloEngine(circuit, config)
-        currents = np.empty_like(values)
-        with _telemetry.span(
-            "deck.run", category="deck", points=len(values),
-        ):
-            for i, v in enumerate(values):
-                targets = {f"v{self.sweep.node}": float(v)}
-                if self.symmetric_node is not None:
-                    targets[f"v{self.symmetric_node}"] = -float(v)
-                with _telemetry.span(
-                    "deck.point", category="deck", v=float(v),
-                ):
-                    engine.set_sources(targets)
-                    currents[i] = engine.measure_current(
-                        junctions, self.jumps, orientations=orientations
-                    )
-        return IVCurve(
-            values, currents, f"sweep node {self.sweep.node}",
-            stats=dataclasses.replace(engine.solver.stats),
-        )
-
-    def _run_sharded(
-        self,
-        circuit: Circuit,
-        config: SimulationConfig,
-        values: np.ndarray,
-        junctions: list[int],
-        orientations: list[int],
-        jobs: int,
-        chunks: int,
-        checkpoint: "CheckpointStore | None" = None,
-        policy: "ExecutionPolicy | None" = None,
-        campaign: "CampaignStore | None" = None,
-    ) -> IVCurve:
-        """Sweep through the shard/merge layer (``jobs``/``chunks``/
-        ensemble ``runs``) instead of the in-place serial loop."""
-        from repro.core.sweep import sweep_iv
-        from repro.parallel import ensemble_iv
-
-        assert self.sweep is not None
         setter = DeckSweepSetter(
             f"v{self.sweep.node}",
             f"v{self.symmetric_node}" if self.symmetric_node is not None else None,
@@ -411,7 +346,6 @@ class SemsimDeck:
                     source_setter=setter,
                     label=label,
                     jobs=jobs,
-                    checkpoint=checkpoint,
                     policy=policy,
                     campaign=campaign,
                 )
@@ -425,7 +359,6 @@ class SemsimDeck:
                 label=label,
                 chunks=chunks,
                 jobs=jobs,
-                checkpoint=checkpoint,
                 policy=policy,
                 campaign=campaign,
             )

@@ -17,12 +17,8 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.monitor.ledger import run_scope
-from repro.parallel.pool import execute_shards
 from repro.parallel.seeds import spawn_seeds
-from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.policy import ExecutionPolicy
-from repro.telemetry import registry as _telemetry
 
 if TYPE_CHECKING:  # deferred: repro.core.sweep imports repro.parallel
     from repro.campaign.store import CampaignStore
@@ -115,7 +111,6 @@ def ensemble_iv(
     label: str = "",
     *,
     jobs: int | None = 1,
-    checkpoint: CheckpointStore | None = None,
     policy: ExecutionPolicy | None = None,
     campaign: "CampaignStore | str | Path | None" = None,
 ) -> EnsembleIV:
@@ -124,76 +119,51 @@ def ensemble_iv(
     Replica ``r`` always simulates with the seed spawned at index ``r``
     from ``config.seed``, so the ensemble is deterministic and
     bit-identical for every ``jobs`` value; ``jobs`` distributes the
-    replicas over worker processes.  ``checkpoint`` persists each
-    completed replica's curve to a resumable manifest; ``policy`` adds
-    per-replica retry/timeout fault tolerance; ``campaign`` caches
-    completed replica curves in the durable content-addressed store
-    (forcing event hashing), so re-running the ensemble — or a larger
-    one sharing its root seed — computes only new replicas.
+    replicas over worker processes.  ``policy`` adds per-replica
+    retry/timeout fault tolerance; ``campaign`` keeps completed replica
+    curves in the durable content-addressed store (forcing event
+    hashing), so a rerun of an interrupted ensemble — or a larger one
+    sharing its root seed — computes only the missing replicas.  The
+    execution path is :func:`repro.core.sweep.run_sweep_shards`.
     """
-    from repro.core.config import SimulationConfig
+    from repro.core.sweep import run_sweep_shards
 
     if replicas < 1:
         raise SimulationError(f"replicas must be >= 1, got {replicas}")
-    cfg = config if config is not None else SimulationConfig()
-    if campaign is not None:
-        cfg = cfg.replace(event_hash=True)
     volts = np.asarray(voltages, dtype=float)
-    seeds = spawn_seeds(cfg.seed, replicas)
-    shards = [
-        _Replica(
-            index=r,
-            circuit=circuit,
-            config=cfg.replace(seed=seeds[r]),
-            voltages=volts,
-            jumps_per_point=jumps_per_point,
-            junctions=list(measure_junctions),
-            orientations=list(orientations) if orientations is not None else None,
-            source_setter=source_setter,
-        )
-        for r in range(replicas)
-    ]
-    cache = None
-    if campaign is not None:
-        from repro.campaign.store import bind_sweep_cache
 
-        cache = bind_sweep_cache(
-            campaign, circuit, cfg, kind="ensemble_iv",
-            values=volts, jumps_per_point=jumps_per_point, label=label,
-        )
-    with run_scope("ensemble_iv") as recorder:
-        with _telemetry.span(
-            "ensemble.iv", category="parallel",
-            replicas=replicas, points=len(volts), label=label,
-        ):
-            curves = execute_shards(
-                _run_replica, shards, jobs=jobs,
-                policy=policy, checkpoint=checkpoint, cache=cache,
+    def make_shards(cfg: "SimulationConfig") -> list[_Replica]:
+        seeds = spawn_seeds(cfg.seed, replicas)
+        return [
+            _Replica(
+                index=r,
+                circuit=circuit,
+                config=cfg.replace(seed=seeds[r]),
+                voltages=volts,
+                jumps_per_point=jumps_per_point,
+                junctions=list(measure_junctions),
+                orientations=(
+                    list(orientations) if orientations is not None else None
+                ),
+                source_setter=source_setter,
             )
-        from repro.core.base import SolverStats
+            for r in range(replicas)
+        ]
 
-        stats = SolverStats().merge(
-            *(c.stats for c in curves if c.stats is not None)
-        )
-        hashes = [c.event_hash for c in curves]
-        if any(h is None for h in hashes):
-            combined = None
-        else:
-            from repro.dsan.runtime import fold_hashes
-
-            combined = fold_hashes([h for h in hashes if h is not None])
-        ensemble = EnsembleIV(
-            volts,
-            np.vstack([c.currents for c in curves]),
-            label,
-            stats=stats,
-            event_hash=combined,
-        )
-        if recorder is not None:
-            recorder.commit(
-                circuit=circuit, config=cfg, values=volts,
-                jumps_per_point=jumps_per_point, label=label,
-                jobs=jobs, replicas=replicas,
-                stats=stats, event_hash=combined,
-            )
-    return ensemble
+    curves, stats, event_hash = run_sweep_shards(
+        "ensemble_iv", _run_replica, make_shards, circuit, config, volts,
+        jumps_per_point,
+        span=(
+            "ensemble.iv", "parallel",
+            {"replicas": replicas, "points": len(volts), "label": label},
+        ),
+        label=label, jobs=jobs, policy=policy, campaign=campaign,
+        replicas=replicas,
+    )
+    return EnsembleIV(
+        volts,
+        np.vstack([c.currents for c in curves]),
+        label,
+        stats=stats,
+        event_hash=event_hash,
+    )

@@ -30,10 +30,13 @@ arrays and the fold-order combined event hash are identical to a
 fault-free run.  One caveat is attribution: when a worker dies the
 executor fails *every* in-flight future, so each one is charged an
 attempt; exhaustion tests should pin the culprit with a single-shard
-layout.  A :class:`~repro.recovery.CheckpointStore` persists each
-completed shard's result; on resume the completed shards are replayed
-from the manifest (``recovery.resume_hits``) and only the remainder is
-executed.
+layout.
+
+Where a finished shard's result is kept is the cache's business: with
+a :class:`ShardCache` (the campaign store, :mod:`repro.campaign`) each
+shard is looked up before it runs and persisted as it finishes, so a
+rerun of an interrupted batch replays the finished shards and executes
+only the remainder.
 
 Worker functions and payloads must be picklable: module-level
 functions, dataclasses, numpy arrays.  Closures (e.g. a lambda bias
@@ -56,7 +59,6 @@ from repro.errors import RecoveryError, SimulationError
 from repro.monitor import monitor as _monitor
 from repro.monitor.stream import MonitorHandle
 from repro.recovery import faults as _faults
-from repro.recovery.checkpoint import CheckpointSession, CheckpointStore
 from repro.recovery.policy import ExecutionPolicy
 from repro.telemetry import registry as _telemetry
 from repro.telemetry.clock import wall_time
@@ -70,14 +72,6 @@ _TICK = 0.05
 _DEFAULT_POLICY = ExecutionPolicy()
 
 _Snapshot = dict[str, dict[str, Any]]
-
-
-class ResultSink(Protocol):
-    """Anything that wants each completed shard's result as it lands:
-    a :class:`~repro.recovery.CheckpointSession` (per-run manifest) or
-    a campaign cache session (durable cross-run store)."""
-
-    def record(self, shard: int, result: Any) -> None: ...
 
 
 class ShardCacheSession(Protocol):
@@ -100,17 +94,6 @@ class ShardCache(Protocol):
     def begin(
         self, worker: Callable[..., Any], payloads: list[Any]
     ) -> ShardCacheSession: ...
-
-
-class _RecordFanout:
-    """Fans each completed shard's result out to every sink."""
-
-    def __init__(self, sinks: Sequence[ResultSink]):
-        self._sinks = tuple(sinks)
-
-    def record(self, shard: int, result: Any) -> None:
-        for sink in self._sinks:
-            sink.record(shard, result)
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -176,7 +159,7 @@ def _run_inline(
     indices: Sequence[int],
     policy: ExecutionPolicy,
     plan: _faults.FaultPlan | None,
-    session: ResultSink | None,
+    session: ShardCacheSession | None,
     dsan_check: bool,
     results: dict[int, _R],
     start_attempts: dict[int, int] | None = None,
@@ -184,7 +167,7 @@ def _run_inline(
 ) -> int:
     """Run ``indices`` in this process with the retry policy applied.
 
-    Fills ``results`` (and the checkpoint ``session``) per shard;
+    Fills ``results`` (and the cache ``session``) per shard;
     returns how many retries were charged.  With ``retry_raised`` off a
     first-attempt exception propagates unchanged — the historical
     inline contract.  ``start_attempts`` carries the attempts already
@@ -246,7 +229,7 @@ def _run_pooled(
     jobs: int,
     policy: ExecutionPolicy,
     plan: _faults.FaultPlan | None,
-    session: ResultSink | None,
+    session: ShardCacheSession | None,
     dsan_check: bool,
     collect: bool,
     results: dict[int, _R],
@@ -421,7 +404,6 @@ def execute_shards(
     jobs: int | None = 1,
     *,
     policy: ExecutionPolicy | None = None,
-    checkpoint: CheckpointStore | None = None,
     cache: ShardCache | None = None,
 ) -> list[_R]:
     """Run ``worker`` over every payload; results come back in order.
@@ -434,22 +416,19 @@ def execute_shards(
     adds bounded retry, per-shard timeouts and inline degradation,
     surfacing exhaustion as :class:`~repro.errors.RecoveryError`.
 
-    With ``checkpoint`` each completed shard's result is persisted to
-    the store's manifest as it finishes; a store opened with
-    ``resume=True`` replays previously completed shards instead of
-    re-running them.  Recovery activity is visible as telemetry
-    counters: ``recovery.shards_retried``, ``recovery.pool_rebuilds``
-    and ``recovery.resume_hits`` (emitted only when nonzero).
+    Recovery activity is visible as telemetry counters:
+    ``recovery.shards_retried`` and ``recovery.pool_rebuilds`` (emitted
+    only when nonzero).
 
     With ``cache`` (a :class:`ShardCache`, e.g. a campaign store
     binding) every shard is first looked up in a durable *cross-run*
     store: hits are replayed without any simulation, and each freshly
     computed result is persisted as it lands — so an interrupted batch
-    loses at most the shards in flight, and a re-run of an overlapping
-    batch computes only the genuinely new cells.  Cache activity is
-    emitted as the ``campaign.cell_hits`` / ``campaign.cells_computed``
-    counters (always, when a cache is present, so "0 computed" is an
-    observable fact).
+    loses at most the shards in flight, and its rerun (or a run of an
+    overlapping batch) computes only the missing cells.  Cache activity
+    is emitted as the ``campaign.cell_hits`` /
+    ``campaign.cells_computed`` counters (always, when a cache is
+    present, so "0 computed" is an observable fact).
     """
     items = list(payloads)
     jobs = resolve_jobs(jobs)
@@ -464,32 +443,19 @@ def execute_shards(
         _dsan.verify_worker(worker)
         for index, payload in enumerate(items):
             _dsan.verify_payload(payload, index)
-    session: CheckpointSession | None = None
     results: dict[int, _R] = {}
-    if checkpoint is not None:
-        session = checkpoint.begin(worker, items)
-        results.update(session.completed())
-    resumed = len(results)
-    cached = 0
-    sink: ResultSink | None = session
+    sink: ShardCacheSession | None = None
     if cache is not None:
-        cache_session = cache.begin(worker, items)
-        hits = cache_session.hits()
-        for index in sorted(hits):
-            if index not in results:
-                results[index] = hits[index]
-                cached += 1
-        sink = (
-            _RecordFanout((session, cache_session))
-            if session is not None else cache_session
-        )
+        sink = cache.begin(worker, items)
+        results.update(sink.hits())
+    cached = len(results)
     remaining = [index for index in range(len(items)) if index not in results]
     mon = _monitor.current()
     # only the outermost batch of a run is monitored (an inline
     # ensemble replica re-enters the pool for its inner sweep); nested
     # begin_batch calls return False but still need their end_batch
     live = mon if mon is not None and mon.begin_batch(
-        len(items), resumed=resumed + cached
+        len(items), resumed=cached
     ) else None
     batch_open = mon is not None
     try:
@@ -535,8 +501,6 @@ def execute_shards(
                     parent.counter("parallel.shards").add(len(items))
                     parent.gauge("parallel.jobs").set(min(jobs, len(remaining)))
             if parent is not None:
-                if resumed:
-                    parent.counter("recovery.resume_hits").add(resumed)
                 if retried:
                     parent.counter("recovery.shards_retried").add(retried)
                 if rebuilds:

@@ -35,11 +35,12 @@ def as_seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequen
 
 
 def describe_seed(seed: int | np.random.SeedSequence) -> str:
-    """Human-readable identity of a seed, for checkpoint manifests.
+    """Human-readable identity of a seed, for ledger records and
+    campaign cell keys.
 
     A spawned child renders as ``entropy=<root> spawn_key=(i,)`` — the
     exact coordinates :func:`spawn_seeds` would use to re-derive it, so
-    a manifest reader can verify which shard a record belongs to.
+    a reader can verify which shard a record belongs to.
     """
     if isinstance(seed, np.random.SeedSequence):
         return f"entropy={seed.entropy} spawn_key={tuple(seed.spawn_key)}"

@@ -1,4 +1,4 @@
-"""Fault-tolerant, checkpointed execution for sharded runs.
+"""Fault-tolerant execution for sharded runs.
 
 Long Monte Carlo campaigns die for boring reasons — a worker OOMs, a
 node reboots, someone hits Ctrl-C — and without this layer one dead
@@ -9,60 +9,45 @@ reproducibility contract:
 * :class:`ExecutionPolicy` — bounded retry with capped deterministic
   backoff, per-shard timeouts, pool rebuild limits and inline
   degradation, consumed by :func:`repro.parallel.pool.execute_shards`;
-* :class:`CheckpointStore` / :class:`CheckpointSession` — an atomic,
-  versioned, fingerprinted manifest of completed shard results, written
-  as each shard finishes and consumed by ``--resume``;
 * :class:`FaultPlan` / :func:`injected_faults` — test-only fault
   injection (kill/hang/raise per shard per attempt) so every recovery
   path is exercised by pytest rather than trusted.
 
+Finished shards are kept by the campaign store
+(:mod:`repro.campaign`, ``campaign=`` / ``--campaign DIR``): a rerun
+of an interrupted sweep on the same store replays the finished shards
+and computes only the rest.
+
 The invariant everything here preserves: a retried shard re-runs with
-its own spawned seed and a resumed run replays stored results in shard
-order, so retries, rebuilds and resumes are all bit-identical to an
-uninterrupted run — same arrays, same fold-order combined dsan event
-hash.  Failures surface as :class:`repro.errors.RecoveryError` with the
-worker's exception as ``__cause__``.
+its own spawned seed, so retries, rebuilds and cached reruns are all
+bit-identical to an uninterrupted run — same arrays, same fold-order
+combined dsan event hash.  Failures surface as
+:class:`repro.errors.RecoveryError` with the worker's exception as
+``__cause__``.
 """
 
 from __future__ import annotations
 
 from repro.errors import RecoveryError
-from repro.recovery.checkpoint import CheckpointSession, CheckpointStore
 from repro.recovery.faults import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
     clear_faults,
-    corrupt_record,
     current_plan,
     injected_faults,
     install_faults,
 )
-from repro.recovery.manifest import (
-    MANIFEST_VERSION,
-    Manifest,
-    ShardRecord,
-    describe_version_skew,
-    environment_meta,
-)
 from repro.recovery.policy import ExecutionPolicy
 
 __all__ = [
-    "MANIFEST_VERSION",
-    "CheckpointSession",
-    "CheckpointStore",
     "ExecutionPolicy",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "Manifest",
     "RecoveryError",
-    "ShardRecord",
     "clear_faults",
-    "corrupt_record",
     "current_plan",
-    "describe_version_skew",
-    "environment_meta",
     "injected_faults",
     "install_faults",
 ]

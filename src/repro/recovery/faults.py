@@ -18,14 +18,11 @@ spawn start methods behave identically.
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import dataclasses
-import json
 import os
 import time
 from collections.abc import Iterator
-from pathlib import Path
 
 from repro.errors import RecoveryError, SimulationError
 
@@ -129,25 +126,3 @@ def perform(spec: FaultSpec, inline: bool = False) -> None:
         f"injected fault: {spec.action} shard #{spec.shard}", shard=spec.shard
     )
 
-
-def corrupt_record(directory: str | Path, shard: int) -> None:
-    """Flip bits in shard ``shard``'s checkpointed payload on disk.
-
-    Test helper for the manifest-integrity path: the checksum stays
-    untouched while the payload bytes change, so a subsequent resume
-    must reject the record with :class:`RecoveryError`.
-    """
-    path = Path(directory) / "manifest.json"
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        record = data["shards"][shard]
-        raw = bytearray(base64.b64decode(record["payload"]))
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
-        raise RecoveryError(
-            f"cannot corrupt checkpoint record #{shard} under {directory}: {exc}"
-        ) from exc
-    if not raw:
-        raise RecoveryError(f"checkpoint record #{shard} has no payload to corrupt")
-    raw[len(raw) // 2] ^= 0xFF
-    record["payload"] = base64.b64encode(bytes(raw)).decode("ascii")
-    path.write_text(json.dumps(data), encoding="utf-8")

@@ -107,7 +107,7 @@ class TestLedger:
         assert record["events_per_second"] > 0.0
         assert record["event_hash"] == curve.event_hash
         assert record["counters"] == {
-            "resume_hits": 0, "shards_retried": 0, "pool_rebuilds": 0,
+            "shards_retried": 0, "pool_rebuilds": 0,
             "cell_hits": 0, "cells_computed": 0,
         }
         assert record["run_id"] and record["fingerprint"]

@@ -1,17 +1,18 @@
-"""Tests for the fault-tolerant checkpoint/resume layer (repro.recovery).
+"""Tests for fault-tolerant execution (repro.recovery) and resume
+through the campaign store.
 
 The contracts under test:
 
-* an interrupted-then-resumed sweep is **bit-identical** (arrays and
-  fold-order combined event hash) to an uninterrupted run, for
-  ``jobs in {1, 2, 4}``;
+* a sweep interrupted mid-run and then rerun on the same campaign
+  store is **bit-identical** (arrays and fold-order combined event
+  hash) to an uninterrupted run, for ``jobs in {1, 2, 4}``; serially,
+  the rerun replays exactly the shards that finished before the fault;
 * a shard retried after an injected worker crash or timeout reproduces
   the no-fault run exactly, because retries reuse the shard's own
   spawned seed;
-* corrupted, mismatched or missing checkpoint manifests are rejected
-  with a clear :class:`RecoveryError` — never silently reused;
 * ``repro run`` reports a retry-exhausted shard's cause chain and
-  exits non-zero instead of surfacing a raw executor traceback.
+  exits non-zero instead of surfacing a raw executor traceback, and
+  an unusable ``--campaign`` path fails before any simulation.
 
 Faults are staged through :mod:`repro.recovery.faults`; nothing here
 monkeypatches executor internals.
@@ -19,23 +20,20 @@ monkeypatches executor internals.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
+from repro.campaign import CampaignStore
 from repro.circuit import build_set
 from repro.core import SimulationConfig, sweep_iv, sweep_map
 from repro.errors import RecoveryError, SimulationError
 from repro.parallel import ensemble_iv
 from repro.parallel.pool import execute_shards
 from repro.recovery import (
-    CheckpointStore,
     ExecutionPolicy,
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    corrupt_record,
     injected_faults,
 )
 from repro.telemetry import registry as telemetry
@@ -62,14 +60,39 @@ def _map_args(points=5, rows=3):
     )
 
 
-def _run_map(jobs=1, seed=7, checkpoint=None, policy=None, jumps=250):
+def _run_map(jobs=1, seed=7, policy=None, jumps=250, campaign=None):
     circuit, volts, gates = _map_args()
     return sweep_map(
         circuit, volts, gates,
         SimulationConfig(temperature=5.0, seed=seed, event_hash=True),
         jumps_per_point=jumps, jobs=jobs,
-        checkpoint=checkpoint, policy=policy,
+        policy=policy, campaign=campaign,
     )
+
+
+def _interrupt_then_rerun(run, shard, store):
+    """Run ``run(campaign=store)`` with a raise injected on ``shard``,
+    then rerun it on the same store.  Returns the rerun's result and
+    its ``(cell hits, cells computed)``."""
+    plan = FaultPlan((FaultSpec(shard=shard, action="raise", attempts=()),))
+    with injected_faults(plan):
+        with pytest.raises(SimulationError):
+            run(campaign=store)
+    with telemetry.session(trace=False) as reg:
+        resumed = run(campaign=store)
+    counters = reg.metrics()["counters"]
+    return resumed, (
+        counters["campaign.cell_hits"], counters["campaign.cells_computed"]
+    )
+
+
+def _assert_replayed(jobs, counts, shard, shards):
+    """Serially, exactly the shards before the faulted one finished and
+    are replayed; pooled, which shards finished depends on scheduling."""
+    hits, computed = counts
+    assert hits + computed == shards
+    if jobs == 1:
+        assert hits == shard
 
 
 class TestExecutionPolicy:
@@ -122,212 +145,72 @@ class TestFaultPlan:
         assert current_plan() is None
 
 
-class TestCheckpointStore:
-    def test_fresh_store_writes_versioned_manifest(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt")
-        out = execute_shards(_double, [1, 2, 3], jobs=1, checkpoint=store)
-        assert out == [2, 4, 6]
-        data = json.loads(store.manifest_path.read_text())
-        assert data["version"] == 1
-        assert len(data["shards"]) == 3
-        assert all(rec["status"] == "done" for rec in data["shards"])
-
-    def test_unwritable_directory_rejected_eagerly(self, tmp_path):
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("file, not directory")
-        with pytest.raises(RecoveryError, match="not writable"):
-            CheckpointStore(blocker / "ckpt")
-
-    def test_resume_without_manifest_rejected(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt", resume=True)
-        with pytest.raises(RecoveryError, match="no checkpoint manifest"):
-            execute_shards(_double, [1, 2], jobs=1, checkpoint=store)
-
-    def test_resume_replays_without_rerunning(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        execute_shards(_double, [1, 2, 3], jobs=1, checkpoint=store)
-        # if any shard re-ran, the every-attempt fault would detonate
-        plan = FaultPlan(tuple(
-            FaultSpec(shard=i, action="raise", attempts=()) for i in range(3)
-        ))
-        with injected_faults(plan):
-            out = execute_shards(
-                _double, [1, 2, 3], jobs=1,
-                checkpoint=CheckpointStore(tmp_path, resume=True),
-            )
-        assert out == [2, 4, 6]
-
-    def test_fingerprint_mismatch_rejected(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        execute_shards(_double, [1, 2, 3], jobs=1, checkpoint=store)
-        with pytest.raises(RecoveryError, match="different run"):
-            execute_shards(
-                _double, [1, 2, 4], jobs=1,
-                checkpoint=CheckpointStore(tmp_path, resume=True),
-            )
-
-    def test_fingerprint_mismatch_names_payload_change(self, tmp_path):
-        # same interpreter, different payloads: the message must blame
-        # the workload, not the environment
-        store = CheckpointStore(tmp_path)
-        execute_shards(_double, [1, 2, 3], jobs=1, checkpoint=store)
-        with pytest.raises(RecoveryError, match="workload itself changed"):
-            execute_shards(
-                _double, [1, 2, 4], jobs=1,
-                checkpoint=CheckpointStore(tmp_path, resume=True),
-            )
-
-    def test_fingerprint_mismatch_names_version_skew(self, tmp_path):
-        import json
-
-        store = CheckpointStore(tmp_path)
-        execute_shards(_double, [1, 2, 3], jobs=1, checkpoint=store)
-        # simulate a manifest written by another interpreter/numpy: the
-        # fingerprint cannot match, and the diagnostic must say why
-        data = json.loads(store.manifest_path.read_text())
-        data["meta"]["python"] = "3.0.0"
-        data["meta"]["numpy"] = "0.1"
-        data["fingerprint"] = "0" * len(data["fingerprint"])
-        store.manifest_path.write_text(json.dumps(data))
-        with pytest.raises(
-            RecoveryError, match=r"version skew \(python 3\.0\.0 -> "
-        ):
-            execute_shards(
-                _double, [1, 2, 3], jobs=1,
-                checkpoint=CheckpointStore(tmp_path, resume=True),
-            )
-
-    def test_manifest_records_environment_versions(self, tmp_path):
-        import json
-        import platform
-
-        import numpy as np
-
-        store = CheckpointStore(tmp_path)
-        execute_shards(_double, [1, 2], jobs=1, checkpoint=store)
-        meta = json.loads(store.manifest_path.read_text())["meta"]
-        assert meta["python"] == platform.python_version()
-        assert meta["numpy"] == np.__version__
-
-    def test_shard_count_mismatch_rejected(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        execute_shards(_double, [1, 2, 3], jobs=1, checkpoint=store)
-        with pytest.raises(RecoveryError, match="shard layout changed"):
-            execute_shards(
-                _double, [1, 2], jobs=1,
-                checkpoint=CheckpointStore(tmp_path, resume=True),
-            )
-
-    def test_corrupted_record_rejected(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        execute_shards(_double, [1, 2, 3], jobs=1, checkpoint=store)
-        corrupt_record(tmp_path, 1)
-        with pytest.raises(RecoveryError, match="corrupt"):
-            execute_shards(
-                _double, [1, 2, 3], jobs=1,
-                checkpoint=CheckpointStore(tmp_path, resume=True),
-            )
-
-    def test_manifest_version_mismatch_rejected(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        execute_shards(_double, [1], jobs=1, checkpoint=store)
-        data = json.loads(store.manifest_path.read_text())
-        data["version"] = 99
-        store.manifest_path.write_text(json.dumps(data))
-        with pytest.raises(RecoveryError, match="version"):
-            execute_shards(
-                _double, [1], jobs=1,
-                checkpoint=CheckpointStore(tmp_path, resume=True),
-            )
-
-    def test_unparseable_manifest_rejected(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.manifest_path.write_text("{ not json")
-        with pytest.raises(RecoveryError, match="not valid JSON"):
-            execute_shards(
-                _double, [1], jobs=1,
-                checkpoint=CheckpointStore(tmp_path, resume=True),
-            )
-
-    def test_fresh_store_overwrites_stale_manifest(self, tmp_path):
-        execute_shards(_double, [1, 2], jobs=1, checkpoint=CheckpointStore(tmp_path))
-        out = execute_shards(
-            _double, [5, 6], jobs=1, checkpoint=CheckpointStore(tmp_path)
-        )
-        assert out == [10, 12]
-
-
 class TestResumeEquivalence:
-    """The acceptance contract: interrupt, resume, get identical bits."""
+    """The acceptance contract: interrupt, rerun on the same store, get
+    identical bits."""
 
     @pytest.mark.parametrize("jobs", (1, 2, 4))
     def test_interrupted_sweep_map_resumes_bit_identical(self, tmp_path, jobs):
         base = _run_map(jobs=jobs)
-        plan = FaultPlan((FaultSpec(shard=1, action="raise", attempts=()),))
-        with injected_faults(plan):
-            with pytest.raises(SimulationError):
-                _run_map(jobs=jobs, checkpoint=CheckpointStore(tmp_path))
-        resumed = _run_map(
-            jobs=jobs, checkpoint=CheckpointStore(tmp_path, resume=True)
+        resumed, counts = _interrupt_then_rerun(
+            lambda campaign: _run_map(jobs=jobs, campaign=campaign),
+            1, CampaignStore(tmp_path),
         )
         assert np.array_equal(base.currents, resumed.currents)
         assert base.event_hash is not None
         assert base.event_hash == resumed.event_hash
+        _assert_replayed(jobs, counts, shard=1, shards=3)
 
     def test_resume_hits_counted(self, tmp_path):
-        plan = FaultPlan((FaultSpec(shard=2, action="raise", attempts=()),))
-        with injected_faults(plan):
-            with pytest.raises(SimulationError):
-                _run_map(jobs=1, checkpoint=CheckpointStore(tmp_path))
-        with telemetry.session(trace=False) as reg:
-            _run_map(jobs=1, checkpoint=CheckpointStore(tmp_path, resume=True))
+        _, counts = _interrupt_then_rerun(
+            lambda campaign: _run_map(jobs=1, campaign=campaign),
+            2, CampaignStore(tmp_path),
+        )
         # serially, shards 0 and 1 completed before shard 2 detonated
-        assert reg.metrics()["counters"]["recovery.resume_hits"] == 2
+        assert counts == (2, 1)
 
     def test_interrupted_chunked_sweep_iv_resumes_bit_identical(self, tmp_path):
         circuit = build_set()
         volts = np.linspace(-0.02, 0.02, 6)
         cfg = SimulationConfig(temperature=5.0, seed=11, event_hash=True)
-        base = sweep_iv(
-            circuit, volts, cfg, jumps_per_point=200, chunks=3, jobs=2
-        )
-        plan = FaultPlan((FaultSpec(shard=2, action="raise", attempts=()),))
-        with injected_faults(plan):
-            with pytest.raises(SimulationError):
-                sweep_iv(
+        for jobs in (1, 2):
+            base = sweep_iv(
+                circuit, volts, cfg, jumps_per_point=200, chunks=3, jobs=jobs
+            )
+            resumed, counts = _interrupt_then_rerun(
+                lambda campaign: sweep_iv(
                     circuit, volts, cfg, jumps_per_point=200, chunks=3,
-                    jobs=2, checkpoint=CheckpointStore(tmp_path),
-                )
-        resumed = sweep_iv(
-            circuit, volts, cfg, jumps_per_point=200, chunks=3, jobs=2,
-            checkpoint=CheckpointStore(tmp_path, resume=True),
-        )
-        assert np.array_equal(base.currents, resumed.currents)
-        assert base.event_hash == resumed.event_hash
-        # merged solver work survives the round-trip through the manifest
-        assert base.stats is not None and resumed.stats is not None
-        assert base.stats.events == resumed.stats.events
+                    jobs=jobs, campaign=campaign,
+                ),
+                2, CampaignStore(tmp_path / f"jobs{jobs}"),
+            )
+            assert np.array_equal(base.currents, resumed.currents)
+            assert base.event_hash == resumed.event_hash
+            # merged solver work survives the round-trip through the store
+            assert base.stats is not None and resumed.stats is not None
+            assert base.stats.events == resumed.stats.events
+            _assert_replayed(jobs, counts, shard=2, shards=3)
 
     def test_interrupted_ensemble_resumes_bit_identical(self, tmp_path):
         circuit = build_set()
         volts = np.linspace(-0.02, 0.02, 4)
         cfg = SimulationConfig(temperature=5.0, seed=3, event_hash=True)
-        base = ensemble_iv(
-            circuit, volts, 3, cfg, jumps_per_point=200, jobs=2
-        )
-        plan = FaultPlan((FaultSpec(shard=0, action="raise", attempts=()),))
-        with injected_faults(plan):
-            with pytest.raises(SimulationError):
-                ensemble_iv(
-                    circuit, volts, 3, cfg, jumps_per_point=200, jobs=2,
-                    checkpoint=CheckpointStore(tmp_path),
-                )
-        resumed = ensemble_iv(
-            circuit, volts, 3, cfg, jumps_per_point=200, jobs=2,
-            checkpoint=CheckpointStore(tmp_path, resume=True),
-        )
-        assert np.array_equal(base.replica_currents, resumed.replica_currents)
-        assert base.event_hash == resumed.event_hash
+        for jobs in (1, 2):
+            base = ensemble_iv(
+                circuit, volts, 3, cfg, jumps_per_point=200, jobs=jobs
+            )
+            resumed, counts = _interrupt_then_rerun(
+                lambda campaign: ensemble_iv(
+                    circuit, volts, 3, cfg, jumps_per_point=200, jobs=jobs,
+                    campaign=campaign,
+                ),
+                1, CampaignStore(tmp_path / f"jobs{jobs}"),
+            )
+            assert np.array_equal(
+                base.replica_currents, resumed.replica_currents
+            )
+            assert base.event_hash == resumed.event_hash
+            _assert_replayed(jobs, counts, shard=1, shards=3)
 
 
 class TestRetryEquivalence:
@@ -454,21 +337,21 @@ jumps 400 1
 """
 
 
-class TestDeckCheckpointing:
-    def test_checkpoint_forces_event_hash(self, tmp_path):
+class TestDeckCampaign:
+    def test_campaign_forces_event_hash(self, tmp_path):
         from repro.netlist import parse_semsim
 
         curve = parse_semsim(DECK).run(
-            seed=3, chunks=2, checkpoint=CheckpointStore(tmp_path)
+            seed=3, chunks=2, campaign=CampaignStore(tmp_path)
         )
         assert curve.event_hash is not None
 
-    def test_operating_point_deck_rejects_checkpoint(self, tmp_path):
+    def test_operating_point_deck_rejects_campaign(self, tmp_path):
         from repro.netlist import parse_semsim
 
         with pytest.raises(SimulationError, match="sweep deck"):
             parse_semsim(NO_SWEEP_DECK).run(
-                seed=3, checkpoint=CheckpointStore(tmp_path)
+                seed=3, campaign=CampaignStore(tmp_path)
             )
 
 
@@ -478,29 +361,30 @@ class TestCliRecovery:
         deck_file.write_text(DECK)
         return deck_file
 
-    def test_checkpoint_resume_roundtrip_matches_plain_run(
+    def test_campaign_resume_roundtrip_matches_plain_run(
         self, tmp_path, capsys
     ):
         from repro.cli import main as cli_main
 
         deck_file = self._write_deck(tmp_path)
-        ckpt = tmp_path / "ckpt"
+        store = tmp_path / "store"
         assert cli_main(["run", str(deck_file), "--chunks", "2"]) == 0
         plain = capsys.readouterr().out
         plan = FaultPlan((FaultSpec(shard=1, action="raise", attempts=()),))
         with injected_faults(plan):
             code = cli_main([
                 "run", str(deck_file), "--chunks", "2",
-                "--checkpoint", str(ckpt),
+                "--campaign", str(store),
             ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert cli_main([
-            "run", str(deck_file), "--chunks", "2",
-            "--checkpoint", str(ckpt), "--resume",
+            "run", str(deck_file), "--chunks", "2", "--campaign", str(store),
         ]) == 0
-        resumed = capsys.readouterr().out
-        assert resumed == plain
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        # chunk 0 finished before the fault and is replayed from the store
+        assert "campaign cache: 1 cached, 1 computed" in captured.err
 
     def test_retry_exhaustion_exits_nonzero_with_cause_chain(
         self, tmp_path, capsys
@@ -524,30 +408,32 @@ class TestCliRecovery:
         assert "caused by:" in err
         assert "Traceback" not in err
 
-    def test_resume_requires_checkpoint_flag(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
-        deck_file = self._write_deck(tmp_path)
-        assert cli_main(["run", str(deck_file), "--resume"]) == 1
-        assert "--checkpoint" in capsys.readouterr().err
-
-    def test_unusable_checkpoint_dir_is_a_clean_error(self, tmp_path, capsys):
+    def test_campaign_on_regular_file_is_a_clean_error(
+        self, tmp_path, capsys
+    ):
         from repro.cli import main as cli_main
 
         deck_file = self._write_deck(tmp_path)
         blocker = tmp_path / "blocker"
         blocker.write_text("a file")
-        code = cli_main([
-            "run", str(deck_file), "--checkpoint", str(blocker / "ckpt"),
-        ])
-        assert code == 1
-        assert "not writable" in capsys.readouterr().err
+        for store in (blocker, blocker / "store"):
+            with telemetry.session(trace=False) as reg:
+                code = cli_main([
+                    "run", str(deck_file), "--campaign", str(store),
+                ])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "not a directory" in err
+            assert "Traceback" not in err
+            # rejected before any simulation ran
+            assert reg.peek_counter("solver.events") == 0
 
 
 @pytest.mark.slow
 class TestLongCampaign:
-    """A fuller campaign: many shards, a mid-run crash at jobs=4, then
-    resume — the scaled-up version of the tier-1 equivalence tests."""
+    """A fuller campaign: many shards, a retried worker crash and a
+    mid-run raise at jobs=4, then a rerun on the same store — the
+    scaled-up version of the tier-1 equivalence tests."""
 
     def test_large_map_interrupt_resume_and_retry(self, tmp_path):
         circuit = build_set()
@@ -557,6 +443,7 @@ class TestLongCampaign:
         base = sweep_map(
             circuit, volts, gates, cfg, jumps_per_point=800, jobs=4
         )
+        store = CampaignStore(tmp_path)
         plan = FaultPlan((
             FaultSpec(shard=3, action="kill", attempts=(1,)),
             FaultSpec(shard=5, action="raise", attempts=()),
@@ -565,12 +452,17 @@ class TestLongCampaign:
             with pytest.raises(SimulationError):
                 sweep_map(
                     circuit, volts, gates, cfg, jumps_per_point=800,
-                    jobs=4, policy=FAST,
-                    checkpoint=CheckpointStore(tmp_path),
+                    jobs=4, policy=FAST, campaign=store,
                 )
-        resumed = sweep_map(
-            circuit, volts, gates, cfg, jumps_per_point=800, jobs=4,
-            checkpoint=CheckpointStore(tmp_path, resume=True),
-        )
+        with telemetry.session(trace=False) as reg:
+            resumed = sweep_map(
+                circuit, volts, gates, cfg, jumps_per_point=800, jobs=4,
+                campaign=store,
+            )
         assert np.array_equal(base.currents, resumed.currents)
         assert base.event_hash == resumed.event_hash
+        counters = reg.metrics()["counters"]
+        assert (
+            counters["campaign.cell_hits"] + counters["campaign.cells_computed"]
+            == len(gates)
+        )

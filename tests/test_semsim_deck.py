@@ -173,3 +173,38 @@ class TestDeckExecution:
         curve = deck.run(solver="nonadaptive", seed=3)
         assert len(curve.currents) == 1
         assert curve.currents[0] > 1e-10  # conducting above threshold
+
+
+#: the paper's SET at T = 0 swept inside its Coulomb gap: every rate is
+#: zero at every sweep point, so the circuit is frozen
+FROZEN_DECK = """
+junc 1 1 4 1e-6 1e-18
+junc 2 2 4 1e-6 1e-18
+cap 3 4 3e-18
+vdc 1 0.002
+vdc 2 -0.002
+vdc 3 0.0
+symm 1
+temp 0
+record 1 2 2
+jumps 400 1
+sweep 2 0.002 0.001
+"""
+
+
+class TestFrozenSweepPoints:
+    def test_frozen_points_record_zero_current(self):
+        deck = parse_semsim(FROZEN_DECK)
+        for curve in (deck.run(), deck.run(chunks=2)):
+            assert len(curve.currents) == 5
+            assert all(current == 0.0 for current in curve.currents)
+
+    def test_cli_run_of_frozen_sweep_exits_zero(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        deck_file = tmp_path / "frozen.deck"
+        deck_file.write_text(FROZEN_DECK)
+        assert cli_main(["run", str(deck_file)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 5
+        assert all(float(row.split(",")[1]) == 0.0 for row in rows)

@@ -140,7 +140,7 @@ class TestDeckRun:
         span_names = [e.name for e in reg.events if e.phase == "X"]
         assert "deck.build" in span_names
         assert "deck.run" in span_names
-        assert span_names.count("deck.point") == len(curve.voltages)
+        assert span_names.count("sweep.point") == len(curve.voltages)
 
     def test_stats_attached_even_without_telemetry(self):
         deck = parse_semsim(SMALL_DECK)
