@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 
 def full_scale() -> bool:
@@ -21,136 +19,3 @@ def run_once(benchmark, fn, *args, **kwargs):
     """
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
                               iterations=1)
-
-
-# ----------------------------------------------------------------------
-# machine-readable perf trajectory (BENCH_telemetry.json)
-# ----------------------------------------------------------------------
-
-def telemetry_artifact_path() -> Path:
-    """Where the benches persist their telemetry artifact.
-
-    Defaults to ``benchmarks/BENCH_telemetry.json``; override with the
-    ``REPRO_BENCH_TELEMETRY`` environment variable (CI points it at a
-    build-artifact directory so the perf trajectory is comparable
-    across PRs).
-    """
-    override = os.environ.get("REPRO_BENCH_TELEMETRY")
-    if override:
-        return Path(override)
-    return Path(__file__).with_name("BENCH_telemetry.json")
-
-
-def events_per_second(events, seconds) -> float:
-    """Realised tunnel events per wall-clock second — the throughput
-    figure ``repro report`` tracks across the run ledger and the bench
-    artifacts alike.  Accepts a raw count or anything exposing an
-    ``events`` attribute (e.g. ``SolverStats``)."""
-    count = getattr(events, "events", events)
-    seconds = float(seconds)
-    return float(count) / seconds if seconds > 0.0 else 0.0
-
-
-def _jsonify(value):
-    """Coerce bench payloads (numpy scalars, float dict keys) to JSON."""
-    if isinstance(value, dict):
-        return {str(key): _jsonify(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return value
-
-
-def record_bench_telemetry(bench: str, payload: dict) -> Path:
-    """Merge one bench's phase timings and counters into the artifact.
-
-    Each figure bench calls this with its measured rows so every bench
-    run leaves a machine-readable record (wall seconds per phase, rate
-    evaluation counters, scale knobs) that later PRs can diff instead
-    of eyeballing printed tables.
-    """
-    path = telemetry_artifact_path()
-    data: dict = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except ValueError:
-            data = {}
-    if not isinstance(data, dict):
-        data = {}
-    data[bench] = _jsonify(dict(payload, full_scale=full_scale()))
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    mirror_summaries()
-    return path
-
-
-# ----------------------------------------------------------------------
-# parallel-scaling trajectory (BENCH_parallel.json)
-# ----------------------------------------------------------------------
-
-def parallel_artifact_path() -> Path:
-    """Where the scaling bench appends its rows.
-
-    Defaults to ``benchmarks/BENCH_parallel.json``; override with the
-    ``REPRO_BENCH_PARALLEL`` environment variable.
-    """
-    override = os.environ.get("REPRO_BENCH_PARALLEL")
-    if override:
-        return Path(override)
-    return Path(__file__).with_name("BENCH_parallel.json")
-
-
-def record_parallel_bench(bench: str, rows: list[dict]) -> Path:
-    """Append one scaling run's ``{jobs, seconds, speedup, ...}`` rows.
-
-    Unlike :func:`record_bench_telemetry` this *appends* a dated run
-    record instead of overwriting, so the artifact keeps the scaling
-    trajectory across machines and PRs.
-    """
-    import time
-
-    path = parallel_artifact_path()
-    data: list = []
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except ValueError:
-            data = []
-    if not isinstance(data, list):
-        data = []
-    data.append({
-        "bench": bench,
-        "recorded": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "cpus": os.cpu_count(),
-        "rows": _jsonify(rows),
-    })
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    mirror_summaries()
-    return path
-
-
-# ----------------------------------------------------------------------
-# repo-root summary mirror (BENCH_SUMMARY.json)
-# ----------------------------------------------------------------------
-
-def mirror_summaries() -> Path | None:
-    """Mirror one-line summaries of the latest ``BENCH_*.json``
-    artifacts to ``BENCH_SUMMARY.json`` at the repository root.
-
-    The root mirror is the cheap thing to glance at (and for ``repro
-    report`` to fold in) without opening the full per-bench artifacts.
-    Returns ``None`` when the summariser is unavailable (benches run
-    without the package on the path) — mirroring is best-effort.
-    """
-    try:
-        from repro.monitor import summarize_bench_artifacts
-    except ImportError:
-        return None
-    bench_dir = Path(__file__).parent
-    summary = summarize_bench_artifacts(bench_dir)
-    if not summary:
-        return None
-    target = bench_dir.parent / "BENCH_SUMMARY.json"
-    target.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return target

@@ -18,7 +18,7 @@ from repro.analysis import format_table
 from repro.core import MonteCarloEngine, SimulationConfig
 from repro.logic import build_benchmark, find_step_stimulus
 
-from _harness import record_bench_telemetry, run_once
+from _harness import run_once
 
 LAMBDAS = (0.0, 0.02, 0.05, 0.2, 0.5)
 REFRESH_INTERVALS = (100, 1000, 100_000)
@@ -73,12 +73,6 @@ def sweep():
 
 def test_ablation_adaptive(benchmark):
     lam_rows, refresh_rows, cap_rows = run_once(benchmark, sweep)
-    record_bench_telemetry("ablation_adaptive", {
-        "events": EVENTS,
-        "lambda": lam_rows,
-        "refresh_interval": refresh_rows,
-        "thermal_cap": cap_rows,
-    })
     exact = lam_rows[0.0]["time_per_event"]
 
     table = [

@@ -26,9 +26,7 @@ from repro.errors import ConvergenceError, SemsimError
 from repro.logic import BENCHMARKS, build_benchmark, find_step_stimulus
 from repro.spice import SpiceSimulator
 
-from _harness import (
-    events_per_second, full_scale, record_bench_telemetry, run_once,
-)
+from _harness import full_scale, run_once
 
 #: simulated window all timings are normalised to (the paper used 10 us)
 WINDOW = 1e-5 if full_scale() else 1e-7
@@ -40,11 +38,8 @@ def _bench_names():
     return [spec.name for spec in BENCHMARKS]  # all 15; budgets scale below
 
 
-def _mc_seconds(
-    mapped, solver: str, events: int
-) -> tuple[float, float, float]:
-    """(projected wall seconds, rate evaluations per event, realised
-    events per wall second)."""
+def _mc_seconds(mapped, solver: str, events: int) -> tuple[float, float]:
+    """(projected wall seconds, rate evaluations per event)."""
     config = SimulationConfig(
         temperature=mapped.params.temperature, solver=solver, seed=33
     )
@@ -58,8 +53,7 @@ def _mc_seconds(
     evals_before = engine.solver.stats.sequential_rate_evaluations
     timed = measure_engine_run(engine, events)
     evals = engine.solver.stats.sequential_rate_evaluations - evals_before
-    rate = events_per_second(timed.events, timed.wall_seconds)
-    return timed.extrapolate_to_time(WINDOW), evals / events, rate
+    return timed.extrapolate_to_time(WINDOW), evals / events
 
 
 def _spice_seconds(mapped) -> float:
@@ -80,16 +74,12 @@ def run_measurements():
         else:
             events = 1200 if junctions <= 1500 else 400
         entry = {"name": name, "junctions": junctions}
-        (
-            entry["nonadaptive"],
-            entry["nonadaptive_evals"],
-            entry["nonadaptive_events_per_second"],
-        ) = _mc_seconds(mapped, "nonadaptive", events)
-        (
-            entry["semsim"],
-            entry["semsim_evals"],
-            entry["semsim_events_per_second"],
-        ) = _mc_seconds(mapped, "adaptive", events)
+        entry["nonadaptive"], entry["nonadaptive_evals"] = _mc_seconds(
+            mapped, "nonadaptive", events
+        )
+        entry["semsim"], entry["semsim_evals"] = _mc_seconds(
+            mapped, "adaptive", events
+        )
         try:
             entry["spice"] = _spice_seconds(mapped)
             entry["spice_status"] = "ok"
@@ -102,10 +92,6 @@ def run_measurements():
 
 def test_fig6_performance(benchmark):
     rows = run_once(benchmark, run_measurements)
-    record_bench_telemetry("fig6_performance", {
-        "window_seconds": WINDOW,
-        "rows": rows,
-    })
 
     table = []
     for entry in rows:

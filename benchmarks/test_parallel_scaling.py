@@ -4,10 +4,10 @@ The ``repro.parallel`` layer promises two things: (1) the results of a
 sharded sweep are a function of the shard layout alone — ``jobs=4``
 reproduces ``jobs=1`` bit for bit — and (2) on a multi-core machine the
 wall-clock drops as workers are added.  This bench measures both on a
-Fig. 5-style (bias, gate) current map, appends the ``{jobs, seconds,
-speedup}`` rows to ``BENCH_parallel.json``, and asserts the speedup
-only where the hardware can deliver one (a single-CPU container can
-verify identity but not parallelism).
+Fig. 5-style (bias, gate) current map, prints the ``{jobs, seconds,
+speedup}`` rows, and asserts the speedup only where the hardware can
+deliver one (a single-CPU container can verify identity but not
+parallelism).
 """
 
 import os
@@ -19,9 +19,7 @@ from repro.circuit import build_set
 from repro.core import SimulationConfig, sweep_map
 from repro.telemetry.clock import Stopwatch
 
-from _harness import (
-    events_per_second, full_scale, record_parallel_bench, run_once,
-)
+from _harness import full_scale, run_once
 
 JOBS = (1, 2, 4)
 
@@ -46,13 +44,8 @@ def run_measurements():
         seconds = watch.elapsed()
         rows.append({
             "jobs": jobs,
-            "solver": config.solver,
             "seconds": seconds,
             "speedup": None,  # filled against the serial row below
-            "events_per_second": events_per_second(maps[jobs].stats, seconds),
-            "rows": len(gates),
-            "points": len(biases),
-            "jumps_per_point": jumps,
         })
     serial = rows[0]["seconds"]
     for row in rows:
@@ -70,7 +63,6 @@ def test_parallel_scaling(benchmark):
          for r in rows],
         title=f"sweep_map scaling ({os.cpu_count()} CPUs available)",
     ))
-    record_parallel_bench("sweep_map_scaling", rows)
 
     # (1) the headline guarantee: worker count never changes the numbers
     serial = maps[JOBS[0]]

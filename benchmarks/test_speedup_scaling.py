@@ -15,7 +15,7 @@ from repro.analysis import format_table, measure_engine_run
 from repro.core import MonteCarloEngine, SimulationConfig
 from repro.logic import Gate, GateKind, LogicNetlist, map_to_circuit
 
-from _harness import full_scale, record_bench_telemetry, run_once
+from _harness import full_scale, run_once
 
 CHAIN_COUNTS = (2, 8, 24, 64) if not full_scale() else (2, 8, 24, 64, 160)
 CHAIN_LENGTH = 5  # gates per chain
@@ -62,11 +62,6 @@ def measure(n_chains: int):
 
 def test_speedup_scaling(benchmark):
     results = run_once(benchmark, lambda: [measure(n) for n in CHAIN_COUNTS])
-    record_bench_telemetry("speedup_scaling", {
-        "chain_counts": list(CHAIN_COUNTS),
-        "chain_length": CHAIN_LENGTH,
-        "rows": results,
-    })
 
     rows = []
     eval_ratios = []

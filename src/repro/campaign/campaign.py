@@ -483,7 +483,7 @@ class Campaign:
                     jumps_per_point=self.jumps_per_point,
                     label=self.label, jobs=jobs,
                     replicas=self.replicas,
-                    stats=stats, event_hash=combined,
+                    event_hash=combined,
                 )
         return CampaignRun(
             fingerprint=self.fingerprint,

@@ -22,10 +22,10 @@ this CLI reproduces that workflow:
 ``python -m repro profile deck.txt --trace out.json``
     Run the deck under the telemetry layer and print a profiling
     summary (per-phase wall time, solver work counters, adaptive
-    efficiency against the non-adaptive baseline, hottest junctions).
-    ``--trace`` additionally writes the event trace — a Chrome
-    trace-event file loadable in ``chrome://tracing``/Perfetto, or
-    JSON Lines when the file name ends in ``.jsonl``.
+    efficiency against the non-adaptive baseline).  ``--trace``
+    additionally writes the span trace — a Chrome trace-event file
+    loadable in ``chrome://tracing``/Perfetto, or JSON Lines when the
+    file name ends in ``.jsonl``.
 ``python -m repro lint deck.txt``
     Static analysis only: report every ``SEM0xx`` diagnostic of a deck
     or logic netlist without running any Monte Carlo.  The exit code
@@ -56,8 +56,7 @@ this CLI reproduces that workflow:
     Perf trajectories over the run ledger: runs of the same workload
     are matched by fingerprint and judged for events/second
     regressions (``--check`` exits 1 on any); ``--format
-    json|openmetrics`` selects machine-readable output and
-    ``--bench-dir`` folds in the committed ``BENCH_*.json`` artifacts.
+    json|openmetrics`` selects machine-readable output.
 ``python -m repro run deck.txt --campaign DIR``
     Consult the persistent content-addressed result store under
     ``DIR`` before simulating: sweep shards already computed are
@@ -225,16 +224,12 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument(
         "--trace", type=Path, default=None, metavar="FILE",
-        help="write the event trace (Chrome trace-event JSON; '.jsonl' "
+        help="write the span trace (Chrome trace-event JSON; '.jsonl' "
              "suffix selects JSON Lines)",
     )
     profile.add_argument(
         "--format", choices=("auto", "chrome", "jsonl"), default="auto",
         help="trace file format (default: by file suffix)",
-    )
-    profile.add_argument(
-        "--top", type=int, default=5, metavar="N",
-        help="number of hottest junctions to report (default 5)",
     )
     profile.add_argument(
         "--baseline", action="store_true",
@@ -299,11 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ledger", type=Path, default=None, metavar="FILE",
         help="ledger file to read (default: $REPRO_LEDGER or "
              "~/.cache/repro/ledger.jsonl)",
-    )
-    report.add_argument(
-        "--bench-dir", type=Path, default=None, metavar="DIR",
-        help="directory of BENCH_*.json artifacts to summarise "
-             "alongside (default: ./benchmarks when present)",
     )
     report.add_argument(
         "--format", choices=("text", "json", "openmetrics"),
@@ -849,7 +839,6 @@ def _cmd_profile(args) -> int:
         deck,
         solver=args.solver,
         seed=args.seed,
-        top=args.top,
         measure_baseline=args.baseline,
     )
     print(report.format())
@@ -981,15 +970,10 @@ def _cmd_report(args) -> int:
     ledger_path = (
         args.ledger if args.ledger is not None else default_ledger_path()
     )
-    bench_dir = args.bench_dir
-    if bench_dir is None:
-        candidate = Path("benchmarks")
-        bench_dir = candidate if candidate.is_dir() else None
     report = build_report(
         read_ledger(ledger_path),
         ledger_path=str(ledger_path),
         threshold=args.threshold,
-        bench_dir=bench_dir,
     )
     if args.format == "json":
         print(report.as_json())

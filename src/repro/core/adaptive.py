@@ -62,7 +62,6 @@ from repro.core.events import EventKind, TunnelEvent
 from repro.core.pairtree import PairRateTree
 from repro.physics.orthodox import orthodox_rates_both
 from repro.physics.rates import TunnelingModel
-from repro.telemetry import registry as _telemetry
 
 
 def record_prefixes(a_isl, a_idx, b_isl, b_idx):
@@ -540,7 +539,7 @@ class AdaptiveSolver(BaseSolver):
     # ------------------------------------------------------------------
     # solver interface
     # ------------------------------------------------------------------
-    def _step_impl(self, deadline: float | None = None) -> TunnelEvent | None:
+    def step(self, deadline: float | None = None) -> TunnelEvent | None:
         if self._kernel is not None:
             return self._step_native(self._kernel, deadline)
         if self._fast:
@@ -649,15 +648,6 @@ class AdaptiveSolver(BaseSolver):
             seeds.extend(self._neighbors[j])
         return seeds
 
-    def _trace_extras(self) -> dict:
-        """Adaptive error proxy: the largest accumulated testing factor
-        ``|b(i)|`` (converted to joules via ``e``), i.e. how much
-        un-recomputed potential drift the rate caches currently carry.
-        Only evaluated while a trace is being recorded."""
-        if not self.n_junctions:
-            return {"b_error": 0.0}
-        return {"b_error": float(E_CHARGE * np.max(np.abs(self._b0)))}
-
     def set_external_voltages(self, vext: np.ndarray) -> None:
         """React to a stimulus/sweep change of the source voltages.
 
@@ -676,16 +666,7 @@ class AdaptiveSolver(BaseSolver):
         dv = self.stat.source_potential_update(dvext)
         self._v += dv
         self.vext[:] = vext
-        reg = _telemetry.ACTIVE
-        flagged_before = self.stats.flagged_recalculations
         self._adaptive_update(dv, dvext, list(range(self.n_junctions)))
-        if reg is not None:
-            reg.counter("solver.retargets").add()
-            if reg.trace:
-                reg.instant(
-                    "solver.retarget", category="solver",
-                    flagged=self.stats.flagged_recalculations - flagged_before,
-                )
 
     def potentials(self) -> np.ndarray:
         return self._v

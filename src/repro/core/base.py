@@ -15,7 +15,6 @@ from repro.core.event_solver import choose_channel, choose_pair, draw_time
 from repro.core.events import EventKind, TunnelEvent
 from repro.errors import SimulationError
 from repro.physics.rates import TunnelingModel
-from repro.telemetry import registry as _telemetry
 
 
 @dataclasses.dataclass
@@ -26,6 +25,8 @@ class SolverStats:
     computations — the quantity the adaptive algorithm exists to reduce;
     ``secondary_rate_evaluations`` counts cotunneling/Cooper-pair rate
     computations, which are always performed non-adaptively (Sec. III-B).
+    These are the only per-event counts: the telemetry registry learns
+    the number of events once per engine run.
     """
 
     events: int = 0
@@ -350,53 +351,7 @@ class BaseSolver:
         Returns ``None`` when a deadline was given and the next event
         would have fallen beyond it — the clock then sits exactly at
         the deadline with no state change.
-
-        The physics lives in :meth:`_step_impl`; this wrapper adds the
-        telemetry layer's per-event records.  With telemetry disabled
-        (the default) the only cost is one module-attribute load and
-        one ``is None`` test.
         """
-        reg = _telemetry.ACTIVE
-        if reg is None:
-            return self._step_impl(deadline)
-        return self._step_traced(reg, deadline)
-
-    def _step_traced(
-        self, reg: "_telemetry.TelemetryRegistry", deadline: float | None
-    ) -> TunnelEvent | None:
-        """One step observed by the active registry: metric counters
-        always, a per-event trace record when tracing is on."""
-        stats = self.stats
-        time_before = self.time
-        refreshes_before = stats.full_refreshes
-        flagged_before = stats.flagged_recalculations
-        event = self._step_impl(deadline)
-        reg.counter("solver.steps").add()
-        dt = self.time - time_before
-        if event is None:
-            reg.counter("solver.deadline_advances").add()
-        else:
-            reg.counter("solver.events").add()
-            reg.histogram("solver.dt").observe(dt)
-        if reg.trace:
-            args: dict = {
-                "junction": event.junction if event is not None else -1,
-                "direction": event.direction if event is not None else 0,
-                "kind": event.kind.value if event is not None else "deadline",
-                "dt": dt,
-                "flagged": stats.flagged_recalculations - flagged_before,
-                "refresh": stats.full_refreshes > refreshes_before,
-            }
-            args.update(self._trace_extras())
-            reg.instant("solver.event", category="solver", **args)
-        return event
-
-    def _trace_extras(self) -> dict:
-        """Solver-specific fields merged into each per-event record."""
-        return {}
-
-    def _step_impl(self, deadline: float | None = None) -> TunnelEvent | None:
-        """Subclass hook: simulate one tunnel event (see :meth:`step`)."""
         raise NotImplementedError
 
     def set_external_voltages(self, vext: np.ndarray) -> None:

@@ -27,6 +27,14 @@ from repro.telemetry import registry as _telemetry
 from repro.telemetry.clock import Stopwatch
 
 
+def count_events(events: int) -> None:
+    """Add a run's realised events to the active registry's
+    ``solver.events`` counter (a no-op while telemetry is off)."""
+    reg = _telemetry.ACTIVE
+    if reg is not None:
+        reg.counter("solver.events").add(events)
+
+
 @dataclasses.dataclass
 class RunResult:
     """Summary of one :meth:`MonteCarloEngine.run` call."""
@@ -143,26 +151,27 @@ class MonteCarloEngine:
 
         start_jumps = self.solver.stats.events
         jumps = 0
-        with _telemetry.span(
-            "engine.run", category="engine",
-            max_jumps=max_jumps, max_time=max_time,
-        ) as run_span:
-            watch = Stopwatch()
-            while True:
-                if max_jumps is not None and jumps >= max_jumps:
-                    break
-                if deadline is not None and self.solver.time >= deadline:
-                    break
-                event = self.solver.step()
-                jumps += 1
-                for recorder in self.recorders:
-                    recorder.on_event(self.solver, event)
-            wall = watch.elapsed()
-            run_span.set("jumps", jumps)
-        reg = _telemetry.ACTIVE
-        if reg is not None:
-            reg.counter("engine.runs").add()
-            reg.counter("engine.events").add(jumps)
+        try:
+            with _telemetry.span(
+                "engine.run", category="engine",
+                max_jumps=max_jumps, max_time=max_time,
+            ) as run_span:
+                watch = Stopwatch()
+                while True:
+                    if max_jumps is not None and jumps >= max_jumps:
+                        break
+                    if deadline is not None and self.solver.time >= deadline:
+                        break
+                    event = self.solver.step()
+                    jumps += 1
+                    for recorder in self.recorders:
+                        recorder.on_event(self.solver, event)
+                wall = watch.elapsed()
+                run_span.set("jumps", jumps)
+        finally:
+            # once per run, never per event; counted also when a step
+            # raises (a frozen circuit) after events were realised
+            count_events(self.solver.stats.events - start_jumps)
 
         return RunResult(
             jumps=self.solver.stats.events - start_jumps,

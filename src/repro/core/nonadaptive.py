@@ -23,7 +23,7 @@ from repro.core.events import TunnelEvent
 class NonAdaptiveSolver(BaseSolver):
     """Recompute-everything MC solver (conventional algorithm)."""
 
-    def _step_impl(self, deadline: float | None = None) -> TunnelEvent | None:
+    def step(self, deadline: float | None = None) -> TunnelEvent | None:
         v = self.stat.potentials(self.occupation, self.vext)
         self.stats.potential_solves += 1
         dw_fw, dw_bw = self.table.free_energy_changes(v, self.vext)

@@ -252,7 +252,7 @@ def run_sweep_shards(
                 circuit=circuit, config=cfg, values=values,
                 jumps_per_point=jumps_per_point, label=label,
                 jobs=jobs, chunks=chunks, replicas=replicas,
-                stats=stats, event_hash=event_hash,
+                event_hash=event_hash,
             )
     return results, stats, event_hash
 

@@ -24,7 +24,7 @@ import dataclasses
 import math
 from typing import Mapping
 
-from repro.core.engine import MonteCarloEngine
+from repro.core.engine import MonteCarloEngine, count_events
 from repro.errors import SimulationError
 
 
@@ -153,6 +153,7 @@ def run_with_waveforms(
                 discarded += 1
                 break
             events += 1
+    count_events(events)
     return DriveResult(
         events=events, discarded_boundaries=discarded,
         duration=solver.time - start,

@@ -5,7 +5,7 @@ simulation (results, seeds and dsan event hashes are bit-identical
 with monitoring on or off):
 
 * :mod:`repro.monitor.stream` / :mod:`repro.monitor.monitor` — live
-  cross-process progress: pooled workers stream telemetry deltas over
+  cross-process progress: pooled workers stream their event counts over
   a manager queue to a parent-side :class:`RunMonitor` that renders
   shards done / in flight / retried, aggregate events/second, ETA and
   stalled-shard heartbeat gaps (``repro run --progress``);
@@ -43,7 +43,6 @@ from repro.monitor.report import (
     DEFAULT_THRESHOLD,
     LedgerReport,
     build_report,
-    summarize_bench_artifacts,
 )
 from repro.monitor.stream import MonitorHandle, ShardEmitter, ShardMessage
 
@@ -71,5 +70,4 @@ __all__ = [
     "run_scope",
     "set_ledger",
     "set_monitor",
-    "summarize_bench_artifacts",
 ]

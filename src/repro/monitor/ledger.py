@@ -14,7 +14,9 @@ cache will key on:
     execution (seed, jobs, chunks and solver are separate fields).
 ``events`` / ``events_per_second`` / ``wall_seconds`` / ``solver``
     The per-solver throughput trajectory ``repro report`` matches
-    across runs.
+    across runs.  ``events`` counts only events simulated by this run
+    (the ``solver.events`` delta of the run's telemetry registry), so a
+    rerun served from the campaign store records 0.
 ``counters``
     Pool and cache activity: shard retries, pool rebuilds, campaign
     cell hits and cells computed (older records may also carry
@@ -31,7 +33,9 @@ never corrupts the history.
 Recording is opt-in at the library level: install a ledger with
 :func:`ledger_session` (the CLI does this for every ``repro run``
 unless ``--no-ledger``), and :func:`run_scope` becomes a no-op
-otherwise.  Nested invocations (an ensemble's inner sweeps, a deck's
+otherwise.  A recorded run always has a telemetry registry: the scope
+opens a metrics-only session when none is active, which costs nothing
+per event.  Nested invocations (an ensemble's inner sweeps, a deck's
 inner ensemble) are suppressed — one user-visible run, one record.
 """
 
@@ -41,7 +45,7 @@ import dataclasses
 import hashlib
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
@@ -50,7 +54,6 @@ from repro.telemetry.clock import utc_time, wall_time
 
 if TYPE_CHECKING:  # import cycle guard: circuit/config are heavy imports
     from repro.circuit.circuit import Circuit
-    from repro.core.base import SolverStats
     from repro.core.config import SimulationConfig
 
 #: Ledger record schema version (bump on incompatible field changes).
@@ -289,30 +292,26 @@ class RunRecorder:
 
     Created by :func:`run_scope`; the owning entry point calls
     :meth:`commit` with the workload identity once the run finishes.
-    A recorder snapshots the parent registry's recovery counters at
-    creation so the record carries this run's deltas, not the
-    session's cumulative totals.
+    A recorder snapshots the run's registry counters (``solver.events``
+    and :data:`TRACKED_COUNTERS`) at creation so the record carries
+    this run's deltas, not the session's cumulative totals.
     """
 
-    def __init__(self, ledger: Ledger, kind: str) -> None:
+    def __init__(
+        self, ledger: Ledger, kind: str,
+        registry: _telemetry.TelemetryRegistry,
+    ) -> None:
         self._ledger = ledger
         self.kind = kind
         self._t0 = wall_time()
-        self._registry = _telemetry.ACTIVE
-        self._counter_base = {
-            name: self._registry.peek_counter(name)
-            for name in TRACKED_COUNTERS
-        } if self._registry is not None else {}
-
-    def _counter_deltas(self) -> dict[str, int]:
-        if self._registry is None:
-            return {name.split(".", 1)[1]: 0 for name in TRACKED_COUNTERS}
-        return {
-            name.split(".", 1)[1]: (
-                self._registry.peek_counter(name) - self._counter_base[name]
-            )
-            for name in TRACKED_COUNTERS
+        self._registry = registry
+        self._base = {
+            name: registry.peek_counter(name)
+            for name in ("solver.events",) + TRACKED_COUNTERS
         }
+
+    def _delta(self, name: str) -> int:
+        return self._registry.peek_counter(name) - self._base[name]
 
     def commit(
         self,
@@ -327,7 +326,6 @@ class RunRecorder:
         jobs: Any = None,
         chunks: int | None = None,
         replicas: int | None = None,
-        stats: "SolverStats | None" = None,
         event_hash: str | None = None,
     ) -> dict[str, Any]:
         """Build and append this run's record; returns it."""
@@ -339,7 +337,7 @@ class RunRecorder:
             circuit, config, kind=self.kind,
             values=values, jumps_per_point=jumps_per_point,
         )
-        events = int(stats.events) if stats is not None else 0
+        events = self._delta("solver.events")
         record: dict[str, Any] = {
             "schema": SCHEMA_VERSION,
             "run_id": self._ledger.next_run_id(fingerprint, timestamp),
@@ -357,7 +355,10 @@ class RunRecorder:
             "wall_seconds": wall,
             "events": events,
             "events_per_second": events / wall if wall > 0.0 else 0.0,
-            "counters": self._counter_deltas(),
+            "counters": {
+                name.split(".", 1)[1]: self._delta(name)
+                for name in TRACKED_COUNTERS
+            },
             "event_hash": event_hash,
         }
         self._ledger.append(record)
@@ -379,8 +380,14 @@ def run_scope(kind: str) -> Iterator[RunRecorder | None]:
     if ledger is None or ledger._depth > 0:
         yield None
         return
+    active = _telemetry.ACTIVE
+    scope = (
+        nullcontext(active) if active is not None
+        else _telemetry.session(trace=False)
+    )
     ledger._depth += 1
     try:
-        yield RunRecorder(ledger, kind)
+        with scope as registry:
+            yield RunRecorder(ledger, kind, registry)
     finally:
         ledger._depth -= 1

@@ -10,9 +10,9 @@ checks instead of eyeballs:
   lucky fast run doesn't poison the baseline); a drop beyond
   ``threshold`` is an explicit ``REGRESSED`` verdict and ``--check``
   turns any verdict into a nonzero exit for CI;
-* ``BENCH_*.json`` artifacts from :mod:`benchmarks._harness` are
-  summarised alongside, so the bench trajectory and the ledger
-  trajectory read from one place;
+* a run that simulated no events (a rerun served entirely from the
+  campaign store) has no throughput: it is marked ``skipped`` and is
+  neither judged nor part of any baseline;
 * ``--format openmetrics`` renders the latest snapshot per group as an
   OpenMetrics text exposition — the exact payload the future HTTP
   monitoring service will serve from its ``/metrics`` endpoint.
@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import statistics
-from pathlib import Path
 from typing import Any
 
 from repro.telemetry.clock import iso_utc
@@ -37,6 +36,7 @@ VERDICT_BASELINE = "baseline"
 VERDICT_OK = "ok"
 VERDICT_IMPROVED = "improved"
 VERDICT_REGRESSED = "REGRESSED"
+VERDICT_SKIPPED = "skipped"
 
 
 @dataclasses.dataclass
@@ -81,7 +81,6 @@ class LedgerReport:
     records: int
     trajectories: list[WorkloadTrajectory]
     threshold: float
-    bench_summary: dict[str, Any] = dataclasses.field(default_factory=dict)
 
     @property
     def regressions(self) -> list[WorkloadTrajectory]:
@@ -120,11 +119,6 @@ class LedgerReport:
                     f"{row.events_per_second:>12,.1f} "
                     f"{row.wall_seconds:>8.2f}s  {row.verdict}{change}"
                 )
-        if self.bench_summary:
-            lines.append("")
-            lines.append("bench artifacts")
-            for name, entry in sorted(self.bench_summary.items()):
-                lines.append(f"  {name}: {entry}")
         lines.append("")
         if self.regressions:
             names = ", ".join(
@@ -158,7 +152,6 @@ class LedgerReport:
                 }
                 for t in self.trajectories
             ],
-            "bench": self.bench_summary,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -193,15 +186,21 @@ class LedgerReport:
 # ----------------------------------------------------------------------
 
 def _judge(rows: list[RunRow], threshold: float) -> None:
-    """Assign verdicts in place: each run after the first is compared
-    against the median events/second of all *earlier* runs."""
-    for i, row in enumerate(rows):
-        if i == 0:
-            row.verdict = VERDICT_BASELINE
+    """Assign verdicts in place: each run that simulated events is
+    compared against the median events/second of the *earlier* such
+    runs; the first of them is the baseline.  A run without events is
+    skipped."""
+    earlier: list[float] = []
+    for row in rows:
+        if row.events <= 0:
+            row.verdict = VERDICT_SKIPPED
             continue
-        baseline = statistics.median(
-            earlier.events_per_second for earlier in rows[:i]
-        )
+        if not earlier:
+            row.verdict = VERDICT_BASELINE
+            earlier.append(row.events_per_second)
+            continue
+        baseline = statistics.median(earlier)
+        earlier.append(row.events_per_second)
         if baseline <= 0.0:
             row.verdict = VERDICT_OK
             continue
@@ -220,7 +219,6 @@ def build_report(
     *,
     ledger_path: str = "",
     threshold: float = DEFAULT_THRESHOLD,
-    bench_dir: str | Path | None = None,
 ) -> LedgerReport:
     """Group ledger records into judged workload trajectories."""
     groups: dict[tuple[str, str, str], list[dict[str, Any]]] = {}
@@ -262,71 +260,4 @@ def build_report(
         records=len(records),
         trajectories=trajectories,
         threshold=threshold,
-        bench_summary=(
-            summarize_bench_artifacts(bench_dir)
-            if bench_dir is not None else {}
-        ),
     )
-
-
-# ----------------------------------------------------------------------
-# bench artifacts
-# ----------------------------------------------------------------------
-
-def summarize_bench_artifacts(bench_dir: str | Path) -> dict[str, Any]:
-    """One-line summaries of every ``BENCH_*.json`` under ``bench_dir``.
-
-    ``BENCH_telemetry.json`` maps bench name to its latest payload;
-    ``BENCH_parallel.json`` (and other appending artifacts) contribute
-    their most recent dated record.  Unreadable artifacts are reported
-    as such instead of aborting the report.
-    """
-    summary: dict[str, Any] = {}
-    root = Path(bench_dir)
-    if not root.is_dir():
-        return summary
-    for artifact in sorted(root.glob("BENCH_*.json")):
-        try:
-            data = json.loads(artifact.read_text())
-        except (OSError, ValueError):
-            summary[artifact.name] = "unreadable"
-            continue
-        if isinstance(data, list) and data:
-            latest = data[-1]
-            if isinstance(latest, dict):
-                rates = _extract_rates(latest.get("rows", []))
-                summary[artifact.name] = {
-                    "runs": len(data),
-                    "latest": latest.get("recorded", "?"),
-                    **({"events_per_second": rates} if rates else {}),
-                }
-            else:
-                summary[artifact.name] = {"runs": len(data)}
-        elif isinstance(data, dict):
-            summary[artifact.name] = {"benches": sorted(data.keys())}
-        else:
-            summary[artifact.name] = "empty"
-    return summary
-
-
-def _extract_rates(rows: Any) -> dict[str, float]:
-    """Pull per-solver events/second out of bench rows when present."""
-    rates: dict[str, float] = {}
-    if not isinstance(rows, list):
-        return rates
-    for row in rows:
-        if not isinstance(row, dict):
-            continue
-        eps = row.get("events_per_second")
-        if eps is None:
-            continue
-        key = str(
-            row.get("solver")
-            or row.get("label")
-            or f"jobs={row.get('jobs', '?')}"
-        )
-        try:
-            rates[key] = float(eps)
-        except (TypeError, ValueError):
-            continue
-    return rates

@@ -3,14 +3,14 @@
 Workers in :func:`repro.parallel.pool.execute_shards` run one shard as
 a single opaque function call; while it executes, the only party that
 knows how far along it is is the worker's own telemetry registry
-(``solver.events`` et al. tick on every tunnel event).  This module
-ships that knowledge to the parent *without touching the simulation*:
+(``solver.events`` advances once per engine run: per sweep point and
+per warm-up).  This module ships that knowledge to the parent *without
+touching the simulation*:
 
 * a :class:`ShardEmitter` daemon thread samples the worker-local
   registry every ``interval`` seconds and pushes a :class:`ShardMessage`
-  — cumulative event count plus incremental counter deltas (see
-  :func:`repro.telemetry.registry.snapshot_delta`) — onto a
-  ``multiprocessing`` manager queue;
+  — the shard's cumulative event count — onto a ``multiprocessing``
+  manager queue;
 * the thread only *reads* metric values and the wall clock.  It never
   touches the solver, the RNG, the payload or the result, so results,
   seeds and the dsan combined event hash are bit-identical with
@@ -29,7 +29,6 @@ from typing import Any
 
 from repro.telemetry import registry as _telemetry
 from repro.telemetry.clock import wall_time
-from repro.telemetry.registry import snapshot_delta
 
 #: Message kinds a shard emits over the monitor queue.
 KIND_START = "start"
@@ -40,28 +39,21 @@ KIND_DONE = "done"
 #: the parent's render cadence.
 DEFAULT_INTERVAL = 0.5
 
-#: The counters worth streaming live (everything else rides back in the
-#: end-of-shard snapshot as before).
-STREAMED_COUNTERS = ("solver.events", "solver.steps", "solver.deadline_advances")
-
 
 @dataclasses.dataclass
 class ShardMessage:
     """One progress datagram from a shard to the parent monitor.
 
     ``events`` is the shard's *cumulative* realised tunnel-event count
-    (robust to lost messages: the latest message alone is sufficient);
-    ``counters`` carries the incremental deltas since the previous
-    message for anything else worth aggregating live.  ``elapsed`` is
-    the shard's own monotonic clock, used parent-side only for
-    heartbeat-gap / stall detection.
+    (robust to lost messages: the latest message alone is sufficient).
+    ``elapsed`` is the shard's own monotonic clock, used parent-side
+    only for heartbeat-gap / stall detection.
     """
 
     shard: int
     kind: str
     events: int = 0
     elapsed: float = 0.0
-    counters: dict[str, int] = dataclasses.field(default_factory=dict)
 
 
 class ShardEmitter:
@@ -93,7 +85,6 @@ class ShardEmitter:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._started = wall_time()
-        self._last_sent: dict[str, dict[str, Any]] | None = None
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -116,41 +107,16 @@ class ShardEmitter:
         while not self._stop.wait(self._interval):
             self._send(KIND_PROGRESS)
 
-    def _sample(self) -> tuple[int, dict[str, int]]:
-        """Read the active registry's counters without mutating it.
-
-        The solver thread inserts counters concurrently; a dict resize
-        mid-iteration raises ``RuntimeError``, in which case this tick
-        is simply skipped (the next one sees a settled dict).
-        """
-        registry = _telemetry.ACTIVE
-        if registry is None:
-            return 0, {}
-        try:
-            current = registry.metrics()
-        except RuntimeError:
-            return self._events_only(registry), {}
-        delta = snapshot_delta(current, self._last_sent)
-        self._last_sent = current
-        counters = {
-            name: int(value)
-            for name, value in delta.get("counters", {}).items()
-            if name in STREAMED_COUNTERS
-        }
-        return int(current.get("counters", {}).get("solver.events", 0)), counters
-
-    @staticmethod
-    def _events_only(registry: _telemetry.TelemetryRegistry) -> int:
-        return registry.peek_counter("solver.events")
-
     def _send(self, kind: str) -> None:
-        events, counters = self._sample()
+        registry = _telemetry.ACTIVE
         message = ShardMessage(
             shard=self._shard,
             kind=kind,
-            events=events,
+            events=(
+                registry.peek_counter("solver.events")
+                if registry is not None else 0
+            ),
             elapsed=wall_time() - self._started,
-            counters=counters,
         )
         try:
             self._queue.put(message)

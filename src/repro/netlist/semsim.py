@@ -67,7 +67,7 @@ from repro.constants import EV
 from repro.core.config import SimulationConfig
 from repro.core.engine import MonteCarloEngine
 from repro.core.sweep import IVCurve, sweep_iv
-from repro.errors import NetlistError, SimulationError
+from repro.errors import FrozenCircuitError, NetlistError, SimulationError
 from repro.monitor.ledger import run_scope
 from repro.parallel import ensemble_iv
 from repro.telemetry import registry as _telemetry
@@ -291,7 +291,7 @@ class SemsimDeck:
                     jumps_per_point=self.jumps, label=curve.label,
                     solver=solver, seed=seed, jobs=jobs, chunks=chunks,
                     replicas=self.runs if self.runs > 1 else None,
-                    stats=curve.stats, event_hash=curve.event_hash,
+                    event_hash=curve.event_hash,
                 )
         return curve
 
@@ -319,9 +319,14 @@ class SemsimDeck:
                 )
             engine = MonteCarloEngine(circuit, config)
             with _telemetry.span("deck.run", category="deck", points=1):
-                current = engine.measure_current(
-                    junctions, self.jumps, orientations=orientations
-                )
+                try:
+                    current = engine.measure_current(
+                        junctions, self.jumps, orientations=orientations
+                    )
+                except FrozenCircuitError:
+                    # frozen at this bias: no current, as at a frozen
+                    # point of any sweep
+                    current = 0.0
             return IVCurve(
                 np.zeros(1), np.array([current]), "operating point",
                 stats=dataclasses.replace(engine.solver.stats),

@@ -248,7 +248,9 @@ def _run_pooled(
     charges attempts, rebuilds the pool on breakage or timeout, and
     stops early — returning the still-unfinished indices with their
     charged attempts — when the rebuild budget is exhausted and inline
-    degradation is allowed.
+    degradation is allowed.  A shard that raises past the retry policy
+    stops further submissions; the shards already in flight finish
+    (and reach the cache) before its exception is re-raised.
     """
     snapshots: dict[int, _Snapshot | None] = {}
     shard_leaks: list[tuple[int, list[str]]] = []
@@ -293,6 +295,10 @@ def _run_pooled(
             attempts=attempts[index],
         ) from cause
 
+    # the first shard exception that ends the batch, raised once the
+    # shards still in flight have finished
+    failure: tuple[int, Exception] | None = None
+
     def requeue_untouched() -> None:
         # the pool is being torn down: shards still in flight were
         # (probably) innocent — requeue them without charging an attempt
@@ -303,9 +309,12 @@ def _run_pooled(
         inflight.clear()
 
     try:
-        while queue or inflight:
+        while (queue and failure is None) or inflight:
             pool_ok = True
-            while queue and len(inflight) < max_workers and pool_ok:
+            while (
+                queue and failure is None
+                and len(inflight) < max_workers and pool_ok
+            ):
                 pool_ok = submit_one(queue.popleft())
             done, _pending = concurrent.futures.wait(
                 list(inflight),
@@ -338,12 +347,8 @@ def _run_pooled(
                         if mon is not None:
                             mon.shard_retried(index)
                         queue.append(index)
-                    elif policy.retry_raised:
-                        exhaust(
-                            index, f"worker raised {type(exc).__name__}: {exc}", exc
-                        )
-                    else:
-                        raise
+                    elif failure is None:
+                        failure = (index, exc)
                 else:
                     results[index] = value
                     snapshots[index] = metrics
@@ -394,6 +399,11 @@ def _run_pooled(
                 )
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
+    if failure is not None:
+        failed, error = failure
+        if policy.retry_raised:
+            exhaust(failed, f"worker raised {type(error).__name__}: {error}", error)
+        raise error
     leftover = {index: attempts[index] for index in sorted(set(queue))}
     return snapshots, shard_leaks, retried, rebuilds, leftover
 

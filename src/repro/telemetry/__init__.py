@@ -46,11 +46,8 @@ from repro.telemetry.registry import (
     span,
 )
 from repro.telemetry.profile import (
-    JunctionActivity,
     ProfileReport,
     SolverProfile,
-    hottest_junctions,
-    metrics_payload,
     profile_deck,
 )
 
@@ -58,7 +55,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "JunctionActivity",
     "PhaseTiming",
     "ProfileReport",
     "SolverProfile",
@@ -70,8 +66,6 @@ __all__ = [
     "disable",
     "enable",
     "get_registry",
-    "hottest_junctions",
-    "metrics_payload",
     "phase_timings",
     "profile_deck",
     "session",

@@ -50,26 +50,23 @@ def write_jsonl(registry: TelemetryRegistry, path: str | Path) -> int:
 def chrome_trace(registry: TelemetryRegistry) -> dict[str, Any]:
     """The registry as a Chrome trace-event JSON object.
 
-    Spans become complete ("X") events, instants stay instant ("i",
-    global scope); the final metric snapshot rides along in
-    ``otherData`` so one file carries the whole observation.
+    Spans become complete ("X") events; the final metric snapshot
+    rides along in ``otherData`` so one file carries the whole
+    observation.
     """
-    trace_events: list[dict[str, Any]] = []
-    for event in registry.events:
-        record: dict[str, Any] = {
+    trace_events = [
+        {
             "name": event.name,
             "ph": event.phase,
             "ts": event.ts * 1e6,
+            "dur": event.dur * 1e6,
             "pid": 1,
             "tid": 1,
             "cat": event.category or "repro",
             "args": event.args,
         }
-        if event.phase == "X":
-            record["dur"] = event.dur * 1e6
-        elif event.phase == "i":
-            record["s"] = "g"
-        trace_events.append(record)
+        for event in registry.events
+    ]
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
@@ -196,8 +193,6 @@ def phase_timings(registry: TelemetryRegistry) -> list[PhaseTiming]:
     """Per-phase (span-name) wall-time totals, longest first."""
     totals: dict[str, tuple[int, float]] = {}
     for event in registry.events:
-        if event.phase != "X":
-            continue
         count, total = totals.get(event.name, (0, 0.0))
         totals[event.name] = (count + 1, total + event.dur)
     return sorted(

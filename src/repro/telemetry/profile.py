@@ -2,16 +2,16 @@
 the trace to the numbers a performance investigation starts from.
 
 This is the library behind ``repro profile``: phase wall times, the
-solver's work counters, the adaptive solver's efficiency against the
-non-adaptive baseline (which recomputes every rate after every event,
-so its sequential-rate work is exactly ``2 x junctions`` per event),
-and the busiest junctions of the trajectory.
+solver's work counters and the adaptive solver's efficiency against
+the non-adaptive baseline (which recomputes every rate after every
+event, so its sequential-rate work is exactly ``2 x junctions`` per
+event).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.errors import TelemetryError
 from repro.telemetry import registry as _registry
@@ -21,16 +21,6 @@ from repro.telemetry.exporters import PhaseTiming, phase_timings
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.base import SolverStats
     from repro.netlist.semsim import SemsimDeck
-
-
-@dataclasses.dataclass
-class JunctionActivity:
-    """Tunnel-event share of one junction over the profiled run."""
-
-    junction: int
-    label: str
-    events: int
-    share: float
 
 
 @dataclasses.dataclass
@@ -55,7 +45,6 @@ class ProfileReport:
     rate_evaluations: int
     baseline_rate_evaluations: int
     saved_fraction: float
-    hottest: list[JunctionActivity]
     dropped_events: int = 0
     baseline: SolverProfile | None = None
 
@@ -100,53 +89,12 @@ class ProfileReport:
                 f"{self.baseline.wall_seconds:>12.3f} s  "
                 f"(speedup {speedup:.2f}x)"
             )
-        lines += ["", "hottest junctions (by tunnel events)"]
-        if self.hottest:
-            for activity in self.hottest:
-                lines.append(
-                    f"  #{activity.junction:<4d} {activity.label:12s}"
-                    f" {activity.events:>12d}  {activity.share:6.1%}"
-                )
-        else:
-            lines.append("  (no per-event trace records)")
         if self.dropped_events:
             lines.append(
-                f"note: {self.dropped_events} trace event(s) dropped — "
-                "per-event numbers undercount"
+                f"note: {self.dropped_events} trace span(s) dropped — "
+                "phase wall times undercount"
             )
         return "\n".join(lines)
-
-
-def hottest_junctions(
-    registry_: _registry.TelemetryRegistry,
-    top: int = 5,
-    labels: list[str] | None = None,
-) -> list[JunctionActivity]:
-    """Rank junctions by realised tunnel events in the trace buffer."""
-    counts: dict[int, int] = {}
-    total = 0
-    for event in registry_.events:
-        if event.name != "solver.event":
-            continue
-        junction = event.args.get("junction", -1)
-        if junction < 0:
-            continue
-        counts[junction] = counts.get(junction, 0) + 1
-        total += 1
-    ranked = sorted(counts.items(), key=lambda item: item[1], reverse=True)
-    return [
-        JunctionActivity(
-            junction=junction,
-            label=(
-                labels[junction]
-                if labels is not None and junction < len(labels)
-                else f"junction {junction}"
-            ),
-            events=count,
-            share=count / total if total else 0.0,
-        )
-        for junction, count in ranked[: max(top, 0)]
-    ]
 
 
 def _run_deck(
@@ -171,7 +119,6 @@ def profile_deck(
     deck: SemsimDeck,
     solver: str = "adaptive",
     seed: int = 0,
-    top: int = 5,
     trace: bool = True,
     max_trace_events: int = 1_000_000,
     measure_baseline: bool = False,
@@ -198,7 +145,6 @@ def profile_deck(
     saved = (
         1.0 - evaluations / baseline_evaluations if baseline_evaluations else 0.0
     )
-    labels = [f"j{name}" for name, _, _, _, _ in deck.junctions]
     report = ProfileReport(
         solver=solver,
         n_junctions=n_junctions,
@@ -209,25 +155,7 @@ def profile_deck(
         rate_evaluations=evaluations,
         baseline_rate_evaluations=baseline_evaluations,
         saved_fraction=saved,
-        hottest=hottest_junctions(reg, top=top, labels=labels),
         dropped_events=reg.dropped_events,
         baseline=baseline,
     )
     return report, reg
-
-
-def metrics_payload(registry_: _registry.TelemetryRegistry) -> dict[str, Any]:
-    """Phase timings + metric snapshot as a JSON-ready dict (the shape
-    the benchmark harness persists in ``BENCH_telemetry.json``)."""
-    return {
-        "phases": {
-            timing.name: {
-                "count": timing.count,
-                "total_seconds": timing.total_seconds,
-                "mean_seconds": timing.mean_seconds,
-            }
-            for timing in phase_timings(registry_)
-        },
-        "metrics": registry_.metrics(),
-        "dropped_events": registry_.dropped_events,
-    }

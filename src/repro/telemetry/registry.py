@@ -5,10 +5,12 @@ Design contract — **zero cost when off**:
 
 * telemetry is *disabled* whenever no registry is installed
   (:data:`ACTIVE` is ``None``, the default);
-* hot code pays exactly one module-attribute load and one ``is None``
-  test per instrumented operation while disabled (the solvers read
-  ``registry.ACTIVE`` directly; :func:`span` returns a shared no-op
-  context manager without allocating);
+* nothing is instrumented per tunnel event: the engine adds a run's
+  event count to ``solver.events`` once, after the run, so an enabled
+  metrics-only registry costs no more per event than a disabled one;
+* a disabled instrumented operation pays one module-attribute load and
+  one ``is None`` test (:func:`span` returns a shared no-op context
+  manager without allocating);
 * nothing is imported, allocated or formatted until a registry is
   installed with :func:`enable` / :func:`session`.
 
@@ -32,11 +34,11 @@ from repro.telemetry.clock import wall_time
 
 @dataclasses.dataclass
 class TraceEvent:
-    """One record of the trace buffer.
+    """One record of the trace buffer: a completed span.
 
-    ``phase`` follows the Chrome trace-event convention: ``"X"`` is a
-    complete span (with ``dur``), ``"i"`` an instant event.  ``ts`` and
-    ``dur`` are seconds relative to the registry's epoch.
+    ``phase`` is the Chrome trace-event phase, ``"X"`` (a complete
+    span with ``dur``).  ``ts`` and ``dur`` are seconds relative to the
+    registry's epoch.
     """
 
     name: str
@@ -212,10 +214,9 @@ class TelemetryRegistry:
     Parameters
     ----------
     trace:
-        Record :class:`TraceEvent` records (spans and per-event
-        instants).  With ``trace=False`` only metrics (counters,
-        gauges, histograms) accumulate — the mode for long runs where
-        a full event trace would not fit in memory.
+        Record a :class:`TraceEvent` per span.  With ``trace=False``
+        only metrics (counters, gauges, histograms) accumulate — the
+        mode the CLI's run ledger and the pool's workers use.
     max_trace_events:
         Bound on the trace buffer.  Once full, further records are
         counted in :attr:`dropped_events` instead of stored, so a
@@ -356,46 +357,6 @@ class TelemetryRegistry:
             return _NULL_SPAN
         return _LiveSpan(self, name, category, args)
 
-    def instant(self, name: str, category: str = "", **args: Any) -> None:
-        """Record an instant ("i") trace event at the current time."""
-        if not self.trace:
-            return
-        self.record(
-            TraceEvent(
-                name=name, phase="i", ts=self.now(), category=category,
-                args=args,
-            )
-        )
-
-
-def snapshot_delta(
-    current: dict[str, dict[str, Any]],
-    previous: dict[str, dict[str, Any]] | None,
-) -> dict[str, dict[str, Any]]:
-    """Incremental difference between two :meth:`TelemetryRegistry.metrics`
-    snapshots of the *same* registry.
-
-    Counters subtract (new counters appear whole); gauges and histogram
-    moments are carried as-is, since they are absolute state rather
-    than accumulation.  This is the unit the live-monitoring layer
-    streams over its out-of-band queue: a worker periodically sends
-    ``snapshot_delta(now, last_sent)`` so the parent can aggregate
-    progress without waiting for the shard to finish.
-    """
-    if previous is None:
-        return current
-    counters: dict[str, Any] = {}
-    last = previous.get("counters", {})
-    for name, value in current.get("counters", {}).items():
-        step = int(value) - int(last.get(name, 0))
-        if step:
-            counters[name] = step
-    return {
-        "counters": counters,
-        "gauges": dict(current.get("gauges", {})),
-        "histograms": dict(current.get("histograms", {})),
-    }
-
 
 #: The process-wide active registry; ``None`` means telemetry is
 #: disabled.  Hot paths read this attribute directly (one load + one
@@ -448,8 +409,8 @@ def session(
     >>> from repro.telemetry import registry
     >>> with registry.session() as reg:    # doctest: +SKIP
     ...     engine.run(max_jumps=1000)
-    >>> len(reg.events)                    # doctest: +SKIP
-    1001
+    >>> reg.counter("solver.events").value  # doctest: +SKIP
+    1000
     """
     registry_ = TelemetryRegistry(trace=trace, max_trace_events=max_trace_events)
     previous = set_registry(registry_)

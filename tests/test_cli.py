@@ -246,12 +246,13 @@ class TestProfile:
         assert "profile: solver=adaptive" in out
         assert "phase wall time" in out
         assert "work saved" in out
-        assert "hottest junctions" in out
         import json
 
         payload = json.loads(trace.read_text())
         names = {event["name"] for event in payload["traceEvents"]}
-        assert "engine.run" in names and "solver.event" in names
+        assert "engine.run" in names
+        # a trace of spans only: nothing is recorded per tunnel event
+        assert {event["ph"] for event in payload["traceEvents"]} == {"X"}
         assert payload["otherData"]["metrics"]["counters"]["solver.events"] > 0
 
     def test_nonadaptive_profile(self, deck_file, capsys):

@@ -113,6 +113,27 @@ class TestLedger:
         assert record["run_id"] and record["fingerprint"]
         assert record["code_version"].startswith("1.")
 
+    def test_cached_rerun_records_no_events(self, tmp_path, capsys):
+        from repro.campaign import CampaignStore
+
+        path = tmp_path / "ledger.jsonl"
+        store = CampaignStore(tmp_path / "store")
+        with ledger_session(path):
+            for _ in range(2):
+                sweep_iv(
+                    build_set(), VOLTS, CONFIG, jumps_per_point=JUMPS,
+                    chunks=4, campaign=store,
+                )
+        first, rerun = read_ledger(path)
+        assert first["events"] > 0
+        assert first["counters"]["cells_computed"] == 4
+        # every cell replayed from the store: nothing was simulated
+        assert rerun["counters"]["cell_hits"] == 4
+        assert rerun["events"] == 0
+        assert rerun["events_per_second"] == 0.0
+        assert main(["report", "--ledger", str(path), "--check"]) == 0
+        assert "skipped" in capsys.readouterr().out
+
     def test_nested_invocations_yield_single_record(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         circuit = build_set()
@@ -299,6 +320,16 @@ class TestReport:
         assert report.exit_code == 0
         assert report.trajectories[0].rows[-1].verdict == "improved"
 
+    def test_runs_without_events_are_not_judged(self):
+        cached = dict(_record("b", 2.0, 0.0), events=0)
+        records = [cached, _record("a", 1.0, 1000.0), _record("c", 3.0, 990.0)]
+        rows = build_report(records, threshold=0.2).trajectories[0].rows
+        # a run that simulated nothing is neither judged nor a baseline
+        assert [r.verdict for r in rows] == ["baseline", "skipped", "ok"]
+        assert rows[-1].change == pytest.approx(-0.01)
+        only_cached = build_report([dict(cached, ts=0.5), cached])
+        assert only_cached.exit_code == 0
+
     def test_workloads_group_by_fingerprint_and_solver(self):
         records = [
             _record("a", 1.0, 1000.0, solver="adaptive"),
@@ -404,11 +435,11 @@ class TestRendering:
         reg = TelemetryRegistry()
         reg.counter("solver.events").add(41)
         reg.gauge("parallel.jobs").set(4.0)
-        reg.histogram("solver.dt").observe(1.0)
-        reg.histogram("solver.dt").observe(3.0)
+        reg.histogram("span.seconds").observe(1.0)
+        reg.histogram("span.seconds").observe(3.0)
         text = openmetrics_exposition(reg.metrics())
         assert "repro_solver_events_total 41" in text
         assert "repro_parallel_jobs 4" in text
-        assert "repro_solver_dt_count 2" in text
-        assert "repro_solver_dt_std 1" in text
+        assert "repro_span_seconds_count 2" in text
+        assert "repro_span_seconds_std 1" in text
         assert text.endswith("# EOF\n")

@@ -286,7 +286,7 @@ class TestSerialParallelEquality:
             metrics[jobs] = (counters, result.stats)
         assert metrics[1][0] == metrics[2][0]
         # merged counters reconcile with the merged SolverStats
-        assert metrics[2][0]["engine.events"] == metrics[2][1].events
+        assert metrics[2][0]["solver.events"] == metrics[2][1].events
 
     def test_map_stats_equal_per_row_sums(self):
         from repro.core.sweep import _MapRow, _run_map_row, symmetric_bias

@@ -161,6 +161,16 @@ class TestResumeEquivalence:
         assert base.event_hash == resumed.event_hash
         _assert_replayed(jobs, counts, shard=1, shards=3)
 
+    def test_pooled_failure_keeps_finished_siblings(self, tmp_path):
+        # row 1 raises while row 0 is in flight: row 0 still finishes
+        # and reaches the store before the failure propagates
+        _, (hits, computed) = _interrupt_then_rerun(
+            lambda campaign: _run_map(jobs=2, campaign=campaign),
+            1, CampaignStore(tmp_path),
+        )
+        assert hits >= 1
+        assert hits + computed == 3
+
     def test_resume_hits_counted(self, tmp_path):
         _, counts = _interrupt_then_rerun(
             lambda campaign: _run_map(jobs=1, campaign=campaign),

@@ -199,6 +199,19 @@ class TestFrozenSweepPoints:
             assert len(curve.currents) == 5
             assert all(current == 0.0 for current in curve.currents)
 
+    def test_frozen_operating_point_records_zero_current(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main as cli_main
+
+        text = FROZEN_DECK.replace("sweep 2 0.002 0.001\n", "")
+        assert parse_semsim(text).run().currents.tolist() == [0.0]
+        deck_file = tmp_path / "frozen_point.deck"
+        deck_file.write_text(text)
+        assert cli_main(["run", str(deck_file)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == [0.0]
+
     def test_cli_run_of_frozen_sweep_exits_zero(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 

@@ -1,8 +1,9 @@
 """Integration tests: the telemetry layer observing real simulations.
 
-The per-event trace must agree with the solver's own work counters
-(``SolverStats``), and — the zero-cost contract's other half —
-observing a run must never change its physics.
+The registry's ``solver.events`` counter must agree with the solver's
+own work counters (``SolverStats``) while being touched once per run,
+never per event, and — the zero-cost contract's other half — observing
+a run must never change its physics.
 """
 
 from pathlib import Path
@@ -12,8 +13,9 @@ import pytest
 
 from repro.core import MonteCarloEngine
 from repro.netlist import parse_semsim
-from repro.telemetry import metrics_payload, profile_deck
+from repro.telemetry import profile_deck
 from repro.telemetry import registry as telemetry
+from repro.telemetry.registry import Counter
 
 SET_SWEEP = Path(__file__).parent.parent / "examples" / "decks" / "set_sweep.deck"
 
@@ -40,7 +42,8 @@ def _telemetry_disabled():
 
 
 class TestAdaptiveTrace:
-    """Trace records versus ``SolverStats`` on the paper's example SET."""
+    """Registry counters and spans versus ``SolverStats`` on the
+    paper's example SET."""
 
     @pytest.fixture(scope="class")
     def traced_run(self):
@@ -50,7 +53,7 @@ class TestAdaptiveTrace:
             engine = MonteCarloEngine(circuit, deck.config(seed=11))
             # enough events to cross the periodic full refresh (1000)
             engine.run(max_jumps=1500)
-            # a stimulus change exercises the retarget path
+            # a stimulus change between two runs
             vext = engine.solver.vext.copy()
             vext[1] += 0.004
             engine.solver.set_external_voltages(vext)
@@ -60,51 +63,57 @@ class TestAdaptiveTrace:
 
     def test_every_event_is_recorded(self, traced_run):
         reg, stats = traced_run
-        records = [e for e in reg.events if e.name == "solver.event"]
         assert stats.events == 1800
-        assert len(records) == stats.events
         assert reg.counter("solver.events").value == stats.events
-        assert reg.histogram("solver.dt").count == stats.events
-
-    def test_full_refreshes_match_stats(self, traced_run):
-        reg, stats = traced_run
-        records = [e for e in reg.events if e.name == "solver.event"]
-        refreshes = sum(1 for e in records if e.args["refresh"])
-        # the solver's constructor performs one refresh before any step
-        assert refreshes == stats.full_refreshes - 1
-        assert stats.full_refreshes >= 2  # 1800 events, interval 1000
-
-    def test_flagged_recomputes_match_stats(self, traced_run):
-        reg, stats = traced_run
-        flagged_in_steps = sum(
-            e.args["flagged"] for e in reg.events if e.name == "solver.event"
-        )
-        flagged_in_retargets = sum(
-            e.args["flagged"] for e in reg.events if e.name == "solver.retarget"
-        )
-        assert (
-            flagged_in_steps + flagged_in_retargets
-            == stats.flagged_recalculations
-        )
-
-    def test_retarget_recorded(self, traced_run):
-        reg, _ = traced_run
-        retargets = [e for e in reg.events if e.name == "solver.retarget"]
-        assert len(retargets) == 1
-        assert reg.counter("solver.retargets").value == 1
-
-    def test_per_event_records_carry_error_proxy(self, traced_run):
-        reg, _ = traced_run
-        records = [e for e in reg.events if e.name == "solver.event"]
-        for event in records:
-            assert event.args["b_error"] >= 0.0
-            assert event.args["dt"] >= 0.0
-            assert event.args["junction"] in (0, 1)
 
     def test_engine_spans_present(self, traced_run):
         reg, _ = traced_run
         names = {e.name for e in reg.events if e.phase == "X"}
         assert {"engine.prepare", "engine.run"} <= names
+        # spans only: nothing is recorded per tunnel event
+        assert all(e.phase == "X" for e in reg.events)
+        assert len(reg.events) < 10
+
+
+class TestCountedOncePerRun:
+    """The registry is touched once per engine run, not per event."""
+
+    @pytest.fixture
+    def adds(self, monkeypatch):
+        names = []
+        original = Counter.add
+
+        def counting_add(counter, amount=1):
+            names.append(counter.name)
+            original(counter, amount)
+
+        monkeypatch.setattr(Counter, "add", counting_add)
+        return names
+
+    def test_engine_run_adds_one_counter_increment(self, adds):
+        deck = parse_semsim(SET_SWEEP.read_text())
+        engine = MonteCarloEngine(deck.build_circuit(), deck.config(seed=5))
+        with telemetry.session(trace=False) as reg:
+            engine.run(max_jumps=10_000)
+        assert adds == ["solver.events"]
+        assert reg.counter("solver.events").value == 10_000
+
+    def test_waveform_drive_adds_its_events_once(self, adds):
+        from repro.circuit import build_set
+        from repro.core import SimulationConfig, Square, run_with_waveforms
+
+        engine = MonteCarloEngine(
+            build_set(vs=0.005, vd=-0.005),
+            SimulationConfig(temperature=1.0, seed=4),
+        )
+        with telemetry.session(trace=False) as reg:
+            result = run_with_waveforms(
+                engine, {"vg": Square(low=0.0, high=0.03, frequency=1e8)},
+                duration=2e-8, time_step=1e-9,
+            )
+        assert result.events > 0
+        assert adds == ["solver.events"]
+        assert reg.counter("solver.events").value == result.events
 
 
 class TestObservationChangesNothing:
@@ -161,13 +170,11 @@ class TestProfileDeck:
         assert report.saved_fraction == pytest.approx(
             1.0 - report.rate_evaluations / report.baseline_rate_evaluations
         )
-        assert report.hottest
-        assert sum(a.events for a in report.hottest) == report.events
+        assert reg.counter("solver.events").value == report.events
         text = report.format()
         assert "phase wall time" in text
         assert "rate evaluations (sequential)" in text
         assert "work saved" in text
-        assert "hottest junctions" in text
 
     def test_measured_baseline(self):
         deck = parse_semsim(SMALL_DECK)
@@ -181,11 +188,3 @@ class TestProfileDeck:
             >= 2 * 2 * baseline_stats.events
         )
         assert "measured baseline" in report.format()
-
-    def test_metrics_payload_shape(self):
-        deck = parse_semsim(SMALL_DECK)
-        _, reg = profile_deck(deck, seed=2)
-        payload = metrics_payload(reg)
-        assert payload["dropped_events"] == 0
-        assert "engine.run" in payload["phases"]
-        assert payload["metrics"]["counters"]["solver.events"] > 0
