@@ -30,16 +30,6 @@ this CLI reproduces that workflow:
     Static analysis only: report every ``SEM0xx`` diagnostic of a deck
     or logic netlist without running any Monte Carlo.  The exit code
     mirrors the worst severity (0 clean/info, 1 warnings, 2 errors).
-``python -m repro check [path ...]``
-    Static analysis of the simulator sources themselves: ``REPRO00x``
-    repository style, ``DET0xx`` determinism (unseeded RNGs, global
-    RNG state, wall-clock reads outside ``telemetry.clock``, worker
-    state writes, unpicklable pool payloads, unordered-set iteration)
-    and ``W000`` stale waivers.  ``--select`` filters by code prefix
-    (``--select DET`` for the determinism rules alone; a prefix that
-    matches no code is an error), ``--format json|sarif`` selects
-    machine-readable output and ``--codes`` prints the code table.
-    The exit code mirrors the worst severity, like ``lint``.
 ``python -m repro run deck.txt --dsan``
     Runtime determinism sanitizer: execute the deck twice under the
     same seed with the pool boundary armed, compare order-sensitive
@@ -56,7 +46,8 @@ this CLI reproduces that workflow:
     Perf trajectories over the run ledger: runs of the same workload
     are matched by fingerprint and judged for events/second
     regressions (``--check`` exits 1 on any); ``--format
-    json|openmetrics`` selects machine-readable output.
+    json|openmetrics`` selects machine-readable output.  A named
+    ``--ledger`` that does not exist exits 2.
 ``python -m repro run deck.txt --campaign DIR``
     Consult the persistent content-addressed result store under
     ``DIR`` before simulating: sweep shards already computed are
@@ -109,6 +100,7 @@ diagnostic severity as above.
 from __future__ import annotations
 
 import argparse
+import errno
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -261,30 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the table of SEM0xx diagnostic codes and exit",
     )
 
-    check = sub.add_parser(
-        "check",
-        help="static analysis: repository-style and determinism rules "
-             "over the simulator sources",
-    )
-    check.add_argument(
-        "paths", type=Path, nargs="*",
-        help="files or directories to analyse (default: the installed "
-             "repro package sources)",
-    )
-    check.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (default: text)",
-    )
-    check.add_argument(
-        "--codes", action="store_true",
-        help="print the static-analysis code table and exit",
-    )
-    check.add_argument(
-        "--select", metavar="PREFIX[,PREFIX...]", default=None,
-        help="keep only findings whose code starts with one of the "
-             "given prefixes (e.g. 'DET' or 'REPRO001,W')",
-    )
-
     report = sub.add_parser(
         "report",
         help="perf trajectories and regression verdicts from the run "
@@ -304,7 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--threshold", type=float, default=0.2, metavar="FRACTION",
         help="events/second drop (vs the median of earlier runs of the "
-             "same workload) that counts as a regression (default 0.2)",
+             "same workload) that counts as a regression, in (0, 1) "
+             "(default 0.2)",
     )
     report.add_argument(
         "--check", action="store_true",
@@ -936,37 +905,14 @@ def _cmd_lint(args) -> int:
     return exit_code
 
 
-def _cmd_check(args) -> int:
-    from repro.static import (
-        check_paths,
-        code_table,
-        default_root,
-        report_as_json,
-        report_as_sarif,
-    )
-
-    if args.codes:
-        print(code_table())
-        return 0
-    paths = list(args.paths) if args.paths else [default_root()]
-    select = None
-    if args.select:
-        select = tuple(
-            part.strip() for part in args.select.split(",") if part.strip()
-        )
-    report = check_paths(paths, select=select)
-    if args.format == "json":
-        print(report_as_json(report))
-    elif args.format == "sarif":
-        print(report_as_sarif(report))
-    else:
-        print(report.format())
-    return report.exit_code
-
-
 def _cmd_report(args) -> int:
     from repro.monitor import build_report, default_ledger_path, read_ledger
 
+    if args.ledger is not None and not args.ledger.exists():
+        # a named ledger that is missing is a typo, not an empty history
+        raise FileNotFoundError(
+            errno.ENOENT, "no such ledger", str(args.ledger)
+        )
     ledger_path = (
         args.ledger if args.ledger is not None else default_ledger_path()
     )
@@ -1020,8 +966,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_info(args)
         if args.command == "lint":
             return _cmd_lint(args)
-        if args.command == "check":
-            return _cmd_check(args)
         if args.command == "report":
             return _cmd_report(args)
         if args.command == "benchmark":

@@ -5,10 +5,6 @@ Guards the reproducibility contract the parallel layer promises
 (:mod:`repro.dsan.runtime`): event-stream hashing with shadow-run
 comparison plus pickle and state-leak verification of every pool
 shard while :func:`~repro.dsan.runtime.dsan_mode` is armed.
-
-The static half — the ``DET0xx`` rules over the package source — is
-the ``det`` pass of ``repro check`` (:mod:`repro.static.det`; run it
-alone with ``repro check --select DET``).
 """
 
 from __future__ import annotations

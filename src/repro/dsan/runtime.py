@@ -1,8 +1,6 @@
-"""Runtime determinism sanitizer (the ``--dsan`` half).
+"""Runtime determinism sanitizer (``repro run --dsan``).
 
-The static ``det`` pass of ``repro check`` (:mod:`repro.static.det`)
-catches hazard *patterns*; this module verifies the contract *on a
-live run*:
+This module verifies the determinism contract *on a live run*:
 
 * :func:`dsan_mode` arms the process-pool layer
   (:mod:`repro.parallel.pool`): every shard payload is
@@ -156,14 +154,14 @@ def verify_worker(worker: Callable[..., Any]) -> None:
         raise DeterminismError(
             f"dsan: worker {qualname or worker!r} is a lambda or locally "
             "defined function; pool workers must be module-level so they "
-            "pickle by reference and capture no state (DET021)"
+            "pickle by reference and capture no state"
         )
     try:
         pickle.dumps(worker)
     except Exception as exc:  # repro: allow[REPRO001] pickle raises arbitrary types
         raise DeterminismError(
             f"dsan: worker {qualname or worker!r} cannot be pickled across "
-            f"the process boundary: {exc} (DET021)"
+            f"the process boundary: {exc}"
         )
 
 
@@ -182,7 +180,7 @@ def verify_payload(payload: Any, index: int) -> None:
         raise DeterminismError(
             f"dsan: shard payload #{index} does not survive a pickle "
             f"round-trip: {exc}; shard payloads must be plain picklable "
-            "data (DET021)"
+            "data"
         )
 
 
@@ -235,6 +233,5 @@ def raise_state_leaks(leaks: Sequence[tuple[int, list[str]]]) -> None:
     raise DeterminismError(
         f"dsan: pool worker state leak: {details}. Simulation code drew "
         "from a process-global RNG or left telemetry installed — state "
-        "the reproducibility contract requires to stay untouched (DET020/"
-        "DET002)"
+        "the reproducibility contract requires to stay untouched"
     )

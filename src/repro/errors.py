@@ -53,14 +53,8 @@ class PhysicsError(SemsimError):
 
 class TelemetryError(SemsimError):
     """Raised for misuse of the telemetry layer (bad metric kinds,
-    unwritable trace destinations, malformed export requests)."""
-
-
-class SanitizerError(SemsimError):
-    """Raised for misuse of ``repro check`` itself (missing scan roots,
-    unreadable or unparseable source files, unknown pass names or code
-    prefixes) — never for findings, which are reported as
-    :class:`repro.static.Diagnostic` records."""
+    unwritable trace destinations, malformed export requests, a
+    regression threshold outside (0, 1))."""
 
 
 class RecoveryError(SimulationError):

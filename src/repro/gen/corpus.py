@@ -150,7 +150,7 @@ def replay(entry: Path | str) -> tuple[CaseVerdict, list[ReplayDivergence]]:
         diverged(f"verdict {verdict.kind!r} != pinned {record['verdict']!r}")
     pinned_voltages = [float.fromhex(v) for v in record["voltages"]]
     # bit-exact on purpose: replay promises bitwise reproduction
-    if list(verdict.voltages) != pinned_voltages:  # repro: allow[REPRO003]
+    if list(verdict.voltages) != pinned_voltages:
         diverged("sweep voltages changed")
     pinned_oracles = record["oracles"]
     fresh = {o.name: o for o in verdict.oracles}

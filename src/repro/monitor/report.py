@@ -25,6 +25,7 @@ import json
 import statistics
 from typing import Any
 
+from repro.errors import TelemetryError
 from repro.telemetry.clock import iso_utc
 from repro.telemetry.exporters import openmetrics_exposition
 
@@ -221,6 +222,10 @@ def build_report(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> LedgerReport:
     """Group ledger records into judged workload trajectories."""
+    if not 0.0 < threshold < 1.0:
+        raise TelemetryError(
+            f"regression threshold must lie in (0, 1), got {threshold!r}"
+        )
     groups: dict[tuple[str, str, str], list[dict[str, Any]]] = {}
     for record in records:
         fingerprint = str(record.get("fingerprint", ""))

@@ -449,7 +449,7 @@ def execute_shards(
     if dsan_check:
         # verify the pool contract even on paths that never pickle:
         # the worker must be a plain module-level function and every
-        # payload must survive a pickle round-trip (DET021)
+        # payload must survive a pickle round-trip
         _dsan.verify_worker(worker)
         for index, payload in enumerate(items):
             _dsan.verify_payload(payload, index)

@@ -375,7 +375,7 @@ def set_registry(
 ) -> TelemetryRegistry | None:
     """Install ``registry_`` as the active registry; returns the
     previous one (``None`` if telemetry was disabled)."""
-    # repro: allow[DET020] the worker-side write is the *contract*: _shard_entry
+    # a worker-side write is the contract here: _shard_entry
     # installs a worker-local registry via session(), which restores the
     # previous value on exit; metrics ride back in the shard result and the
     # runtime sanitizer's state fingerprint verifies the restoration.

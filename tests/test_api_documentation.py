@@ -7,6 +7,9 @@ these tests enforce that structurally instead of by review.
 import importlib
 import inspect
 import pkgutil
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +93,26 @@ class TestPublicSurface:
         for exc in (CircuitError, ConvergenceError, NetlistError,
                     PhysicsError, SimulationError):
             assert issubclass(exc, SemsimError)
+
+
+class TestTypeGate:
+    """The typed surface CI runs mypy on is declared in pyproject.toml."""
+
+    REPO = Path(__file__).parent.parent
+
+    def test_mypy_config_covers_lint_surface(self):
+        text = (self.REPO / "pyproject.toml").read_text()
+        assert "[tool.mypy]" in text
+        for module in ("repro.lint", "repro.errors", "repro.constants",
+                       "repro.cli"):
+            assert f'"{module}' in text
+
+    @pytest.mark.skipif(shutil.which("mypy") is None,
+                        reason="mypy not installed")
+    def test_mypy_passes_on_typed_surface(self):
+        result = subprocess.run(
+            [shutil.which("mypy"), "-p", "repro.lint", "-m", "repro.errors",
+             "-m", "repro.constants", "-m", "repro.cli"],
+            cwd=self.REPO, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr

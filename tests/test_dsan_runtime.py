@@ -119,14 +119,15 @@ class TestVerifyShadow:
 
     def test_hidden_entropy_detected(self):
         # broken fixture: a solver whose RNG is replaced by a fresh
-        # OS-entropy generator — exactly the defect DET001 catches
-        # statically, here caught at runtime by the shadow comparison
+        # OS-entropy generator, caught at run time by the shadow
+        # comparison
         def broken_run():
             engine = MonteCarloEngine(
                 build_set(vs=0.01, vd=-0.01),
                 SimulationConfig(temperature=5.0, seed=5, event_hash=True),
             )
-            engine.solver.rng = np.random.default_rng()  # repro: allow[DET001] the test's deliberate defect
+            # unseeded on purpose: the test's deliberate defect
+            engine.solver.rng = np.random.default_rng()
             engine.run(max_jumps=60)
             return engine.event_hash()
 
@@ -148,7 +149,7 @@ def _well_behaved(x):
 
 
 def _leaky(x):
-    np.random.random()  # repro: allow[DET002] the test's deliberate leak
+    np.random.random()  # the global RNG on purpose: a deliberate leak
     return x
 
 
@@ -160,14 +161,14 @@ class TestPoolBoundary:
         assert not active()
 
     def test_verify_worker_rejects_lambda(self):
-        with pytest.raises(DeterminismError, match="DET021"):
+        with pytest.raises(DeterminismError, match="module-level"):
             verify_worker(lambda x: x)
 
     def test_verify_worker_rejects_nested(self):
         def nested(x):
             return x
 
-        with pytest.raises(DeterminismError, match="DET021"):
+        with pytest.raises(DeterminismError, match="module-level"):
             verify_worker(nested)
 
     def test_verify_worker_accepts_module_level(self):
@@ -182,7 +183,7 @@ class TestPoolBoundary:
 
     def test_fingerprint_sees_global_rng_draw(self):
         before = state_fingerprint()
-        np.random.random()  # repro: allow[DET002] the test's deliberate leak
+        np.random.random()  # the global RNG on purpose: a deliberate leak
         changed = diff_fingerprints(before, state_fingerprint())
         assert any("numpy" in name for name in changed)
 
@@ -192,7 +193,7 @@ class TestPoolBoundary:
 
     def test_lambda_worker_rejected_in_mode(self):
         with dsan_mode():
-            with pytest.raises(DeterminismError, match="DET021"):
+            with pytest.raises(DeterminismError, match="module-level"):
                 execute_shards(lambda x: x, [1, 2], jobs=1)
 
     def test_unpicklable_payload_rejected_in_mode(self):

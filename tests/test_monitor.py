@@ -9,6 +9,7 @@ import pytest
 
 from repro import SimulationConfig, build_set, ensemble_iv, sweep_iv
 from repro.cli import main
+from repro.errors import TelemetryError
 from repro.monitor import (
     Ledger,
     RunMonitor,
@@ -366,6 +367,29 @@ class TestReport:
         payload = json.loads(capsys.readouterr().out)
         assert payload["regressed"] is True
         assert len(payload["workloads"][0]["runs"]) == 2
+
+    def test_named_missing_ledger_is_an_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        missing = tmp_path / "typo.jsonl"
+        assert main(["report", "--ledger", str(missing), "--check"]) == 2
+        assert str(missing) in capsys.readouterr().err
+        # a missing *default* ledger is only an empty history
+        monkeypatch.setenv("REPRO_LEDGER", str(missing))
+        assert main(["report", "--check"]) == 0
+        assert "0 record(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, 1.0, 2.5])
+    def test_threshold_outside_unit_interval_rejected(
+        self, tmp_path, threshold, capsys
+    ):
+        with pytest.raises(TelemetryError, match="threshold"):
+            build_report([_record("a", 1.0, 1000.0)], threshold=threshold)
+        path = tmp_path / "ledger.jsonl"
+        Ledger(path).append(_record("a", 1.0, 1000.0))
+        argv = ["report", "--ledger", str(path), "--threshold", str(threshold)]
+        assert main(argv) == 1
+        assert "(0, 1)" in capsys.readouterr().err
 
     def test_run_cli_populates_ledger(self, tmp_path, deck_file, capsys):
         path = tmp_path / "cli-ledger.jsonl"
