@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.errors import CampaignError
-from repro.ioutil import write_atomic_text
 from repro.monitor.ledger import (
     _detect_code_version,
     fingerprint_workload,
@@ -259,7 +258,14 @@ class WorkloadStore:
         )
 
     def _write_atomic(self, path: Path, text: str) -> None:
-        write_atomic_text(path, text, error=CampaignError)
+        """Write ``text`` to ``path`` through a sibling ``.tmp`` file and
+        ``os.replace``, so readers never see a torn cell."""
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise CampaignError(f"cannot write {path}: {exc}") from exc
 
 
 class CampaignStore:

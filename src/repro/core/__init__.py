@@ -12,6 +12,7 @@ from repro.core.nonadaptive import NonAdaptiveSolver
 from repro.core.recording import (
     CurrentRecorder,
     EventLogRecorder,
+    IntervalRecorder,
     NodeVoltageRecorder,
     Recorder,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "CurrentRecorder",
     "EventKind",
     "EventLogRecorder",
+    "IntervalRecorder",
     "IVCurve",
     "MonteCarloEngine",
     "NodeVoltageRecorder",

@@ -23,18 +23,20 @@ changed appreciably have their rates recomputed:
 4. every ``full_refresh_interval`` events all rates are recomputed,
    bounding the cumulative error.
 
-On normal-state circuits without secondary channels each event is one
-call into a C kernel (:mod:`repro.core.native`, ``fused_step.c``): the
-draw, the tree sample, the occupation and flux update, the potential
-update, the test walk, the scalar recompute and the tree repair, with
-the same IEEE operations as the Python methods below, over the same
-buffers.  Python keeps the clocks, the event count, the returned
-:class:`TunnelEvent` and the event-stream digest.  A batch wider than
-``native.SCALAR_BATCH`` (and every batch of a retarget's vectorised
-walk) is computed by the kernel around one ``numpy.expm1`` call, the
-loop the Python path's numpy recompute runs.  The Python methods are
-the reference and the fallback when the kernel cannot be built; both
-realise the same events, bit for bit.
+On normal-state circuits without secondary channels the events run in
+a C kernel (:mod:`repro.core.native`, ``fused_step.c``): one
+``repro_run`` call realises a batch of events, each with the draw, the
+tree sample, the occupation and flux update, the Kahan clocks, the
+potential update, the test walk, the scalar recompute, the tree repair
+and the event-stream digest record, with the same IEEE operations as
+the Python methods below, over the same buffers.  A call stops at the
+engine's event budget or stop time, or for the work Python does between
+events: a full refresh, a batch wider than ``native.SCALAR_BATCH``
+(computed by the kernel around one ``numpy.expm1`` call, the loop the
+Python path's numpy recompute runs), a frozen draw, or a full record
+buffer.  :meth:`AdaptiveSolver.step` is a run of one event.  The Python
+methods are the reference and the fallback when the kernel cannot be
+built; both realise the same events, bit for bit.
 
 Secondary channels (cotunneling, Cooper pairs) are recomputed every
 iteration from the exact potentials, exactly as the paper prescribes
@@ -45,7 +47,6 @@ information specific to these effects").
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 
 import numpy as np
@@ -55,33 +56,13 @@ from repro.circuit.electrostatics import Electrostatics
 from repro.circuit.junction_table import JunctionTable
 from repro.constants import E_CHARGE, K_B
 from repro.core import native
-from repro.core.base import BaseSolver, event_record_prefix
+from repro.core.base import BaseSolver
 from repro.core.config import SimulationConfig
 from repro.core.event_solver import draw_time
 from repro.core.events import EventKind, TunnelEvent
 from repro.core.pairtree import PairRateTree
 from repro.physics.orthodox import orthodox_rates_both
 from repro.physics.rates import TunnelingModel
-
-
-def record_prefixes(a_isl, a_idx, b_isl, b_idx):
-    """Digest record prefixes of the sequential events between the given
-    junction endpoints, by key ``2 * j + 1`` (junction ``j`` forward) or
-    ``2 * j`` (backward).  Each is formatted on first use: formatting
-    every one up front takes tens of milliseconds at c1908."""
-
-    @functools.cache
-    def record(key: int) -> str:
-        j, forward = divmod(key, 2)
-        src = (a_isl[j], a_idx[j])
-        dst = (b_isl[j], b_idx[j])
-        if not forward:
-            src, dst = dst, src
-        return event_record_prefix(
-            EventKind.SEQUENTIAL, j, 1 if forward else -1, 1, *src, *dst
-        )
-
-    return record
 
 
 class AdaptiveSolver(BaseSolver):
@@ -171,7 +152,7 @@ class AdaptiveSolver(BaseSolver):
             return None
         library = native.load()
         self.step_path = library.describe()
-        if library.step is None:
+        if library.run is None:
             return None
         n = self.n_junctions
         int64 = np.int64
@@ -216,6 +197,9 @@ class AdaptiveSolver(BaseSolver):
             "xbuf": self._xbuf,
             "ebuf": self._ebuf,
         }
+        if self._event_digest is not None:
+            self._records = np.zeros(native.RECORD_BYTES, dtype=np.uint8)
+            buffers["records"] = self._records
         kernel = native.Kernel(
             rng=self.rng.bit_generator.ctypes.bit_generator.value,
             n_junctions=n,
@@ -227,21 +211,18 @@ class AdaptiveSolver(BaseSolver):
             cap=self._energy_cap,
             dq=-E_CHARGE,
             scalar_batch=native.SCALAR_BATCH,
+            refresh_interval=self.config.full_refresh_interval,
+            record_capacity=native.RECORD_BYTES,
         )
         pointer_types = dict(native.Kernel._fields_)
         for name, array in buffers.items():
             setattr(kernel, name, array.ctypes.data_as(pointer_types[name]))
         # the struct holds raw addresses: keep the arrays alive with it
         self._kernel_buffers = buffers
-        self._native_step = library.step
+        self._native_run = library.run
         self._native_prepare = library.prepare
         self._native_finish = library.finish
         self._kernel_address = ctypes.addressof(kernel)
-        if self._event_digest is not None:
-            self._record = record_prefixes(
-                self._a_isl_list, self._a_idx_list,
-                self._b_isl_list, self._b_idx_list,
-            )
         return kernel
 
     @property
@@ -540,8 +521,14 @@ class AdaptiveSolver(BaseSolver):
     # solver interface
     # ------------------------------------------------------------------
     def step(self, deadline: float | None = None) -> TunnelEvent | None:
-        if self._kernel is not None:
-            return self._step_native(self._kernel, deadline)
+        kernel = self._kernel
+        if kernel is not None:
+            if not self._run_native(1, None, deadline):
+                return None
+            return TunnelEvent(
+                EventKind.SEQUENTIAL, kernel.junction,
+                1 if kernel.forward else -1, 1, kernel.dw,
+            )
         if self._fast:
             event = self._select_fast(deadline)
         else:
@@ -570,47 +557,60 @@ class AdaptiveSolver(BaseSolver):
         self._adaptive_update(dv, None, seeds)
         return event
 
-    def _step_native(
-        self, kernel: native.Kernel, deadline: float | None
-    ) -> TunnelEvent | None:
-        """One event through the C kernel, which also applies it to the
-        occupation and flux; Python advances the clocks, counts it and
-        folds it into the digest (the record :meth:`_hash_event` would
-        write)."""
-        walk = self._events_since_refresh + 1 < self.config.full_refresh_interval
-        if deadline is None:
-            status = self._native_step(self._kernel_address, self.time, 0.0, 0, walk)
-        else:
-            status = self._native_step(
-                self._kernel_address, self.time, deadline, 1, walk
-            )
-            if status == native.STEP_DEADLINE:
-                self._advance_time(deadline - self.time)
-                return None
-        if status == native.STEP_FROZEN:
+    def run_batch(self, max_events: int, stop_time: float | None = None) -> int:
+        kernel = self._kernel
+        if kernel is None:
+            return super().run_batch(max_events, stop_time)
+        done = 0
+        while True:
+            done += self._run_native(max_events - done, stop_time, None)
+            if kernel.status in (native.STEP_BUDGET, native.STEP_TIME):
+                return done
+
+    def _run_native(
+        self, max_events: int, stop_time: float | None, deadline: float | None
+    ) -> int:
+        """One ``repro_run`` call: realise at most ``max_events`` events,
+        stopping before a draw once ``time >= stop_time`` and discarding
+        a draw beyond ``deadline`` (see :meth:`BaseSolver.step`), then do
+        the work the call stopped for.  The clocks go in and out of the
+        kernel; the counters and the digest records it wrote go into
+        :attr:`stats` and the digest.  Returns the events realised."""
+        kernel = self._kernel
+        kernel.time = self.time
+        kernel.time_comp = self._time_compensation
+        kernel.window = self.window_elapsed
+        kernel.window_comp = self._window_compensation
+        kernel.since_refresh = self._events_since_refresh
+        done = self._native_run(
+            self._kernel_address, max_events,
+            0.0 if stop_time is None else stop_time, stop_time is not None,
+            0.0 if deadline is None else deadline, deadline is not None,
+        )
+        self.time = kernel.time
+        self._time_compensation = kernel.time_comp
+        self.window_elapsed = kernel.window
+        self._window_compensation = kernel.window_comp
+        self._events_since_refresh = kernel.since_refresh
+        stats = self.stats
+        stats.events += done
+        flagged = kernel.flagged_total
+        stats.sequential_rate_evaluations += 2 * flagged
+        stats.flagged_recalculations += flagged
+        if self._event_digest is not None:
+            self._event_digest.update(self._records[: kernel.record_len])
+        status = kernel.status
+        if status == native.STEP_REFRESH:
+            self._full_refresh()
+        elif status == native.STEP_RECOMPUTE:
+            self._recompute_wide(kernel.n_flagged)
+        elif status == native.STEP_DEADLINE:
+            self._advance_time(deadline - self.time)
+        elif status == native.STEP_FROZEN:
             # nothing drawn: the Python draw raises FrozenCircuitError,
             # or advances to the deadline, without touching the stream
-            return self._select_fast(deadline)
-        dt = kernel.dt
-        self._advance_time(dt)
-        self.stats.events += 1
-        j, forward = kernel.junction, kernel.forward
-        if self._event_digest is not None:
-            prefix = self._record(2 * j + forward)
-            self._event_digest.update(f"{prefix}{dt.hex()}\n".encode("ascii"))
-        event = TunnelEvent(
-            EventKind.SEQUENTIAL, j, 1 if forward else -1, 1, kernel.dw
-        )
-        self._events_since_refresh += 1
-        if not walk:
-            self._full_refresh()
-            return event
-        if status == native.STEP_RECOMPUTE:
-            self._recompute_wide(kernel.n_flagged)
-        else:
-            self.stats.sequential_rate_evaluations += 2 * kernel.n_flagged
-            self.stats.flagged_recalculations += kernel.n_flagged
-        return event
+            self._select_fast(deadline)
+        return done
 
     def _select_fast(self, deadline: float | None = None) -> TunnelEvent | None:
         """Sequential-only event draw through the O(log J) pair tree."""

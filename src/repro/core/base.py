@@ -86,7 +86,8 @@ class BaseSolver:
     """State and helpers common to both Monte Carlo solvers.
 
     Subclasses implement :meth:`step` (simulate one tunnel event) and
-    :meth:`set_external_voltages` (react to stimulus changes).
+    :meth:`set_external_voltages` (react to stimulus changes), and may
+    run :meth:`run_batch` faster than one :meth:`step` at a time.
     """
 
     def __init__(
@@ -353,6 +354,22 @@ class BaseSolver:
         the deadline with no state change.
         """
         raise NotImplementedError
+
+    def run_batch(self, max_events: int, stop_time: float | None = None) -> int:
+        """Realise up to ``max_events`` events, stopping before a draw
+        once ``time >= stop_time``; returns how many were realised.
+
+        The engine runs its events in these batches.  This default is a
+        loop of :meth:`step`; the adaptive solver's C kernel runs a
+        batch in a few calls.
+        """
+        done = 0
+        while done < max_events:
+            if stop_time is not None and self.time >= stop_time:
+                break
+            self.step()
+            done += 1
+        return done
 
     def set_external_voltages(self, vext: np.ndarray) -> None:
         raise NotImplementedError

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.core.adaptive import AdaptiveSolver
 from repro.core.base import BaseSolver, SolverStats
 from repro.core.config import SimulationConfig
 from repro.core.nonadaptive import NonAdaptiveSolver
-from repro.core.recording import Recorder
+from repro.core.recording import IntervalRecorder, Recorder
 from repro.errors import SimulationError
 from repro.physics.rates import TunnelingModel
 from repro.telemetry import registry as _telemetry
@@ -138,7 +139,15 @@ class MonteCarloEngine:
         *simulated* time have elapsed (whichever comes first).
 
         Mirrors the paper's termination criterion ("jumps simulated >
-        desired amount? or time simulated > desired amount?").
+        desired amount? or time simulated > desired amount?"): both
+        are tested before each event, so the last event may overshoot
+        ``max_time``.
+
+        The solver realises the events in batches
+        (:meth:`BaseSolver.run_batch`).  A batch ends at the next event
+        an :class:`IntervalRecorder` samples; any other recorder sees
+        every event, so while one is attached the batches are single
+        :meth:`BaseSolver.step` calls.
         """
         if max_jumps is None and max_time is None:
             raise SimulationError("specify max_jumps and/or max_time")
@@ -149,7 +158,11 @@ class MonteCarloEngine:
         for recorder in self.recorders:
             recorder.on_start(self.solver)
 
-        start_jumps = self.solver.stats.events
+        solver = self.solver
+        sampled = [r for r in self.recorders if isinstance(r, IntervalRecorder)]
+        per_event = len(sampled) < len(self.recorders)
+        budget = sys.maxsize if max_jumps is None else max_jumps
+        start_jumps = solver.stats.events
         jumps = 0
         try:
             with _telemetry.span(
@@ -157,28 +170,41 @@ class MonteCarloEngine:
                 max_jumps=max_jumps, max_time=max_time,
             ) as run_span:
                 watch = Stopwatch()
-                while True:
-                    if max_jumps is not None and jumps >= max_jumps:
+                while jumps < budget:
+                    if deadline is not None and solver.time >= deadline:
                         break
-                    if deadline is not None and self.solver.time >= deadline:
-                        break
-                    event = self.solver.step()
-                    jumps += 1
-                    for recorder in self.recorders:
-                        recorder.on_event(self.solver, event)
+                    if per_event:
+                        event = solver.step()
+                        jumps += 1
+                        for recorder in self.recorders:
+                            recorder.on_event(solver, event)
+                        continue
+                    batch = budget - jumps
+                    for recorder in sampled:
+                        batch = min(batch, recorder.events_to_sample())
+                    before = solver.stats.events
+                    try:
+                        solver.run_batch(batch, deadline)
+                    finally:
+                        # recorders count the events of a batch that
+                        # raised (a frozen circuit) too
+                        done = solver.stats.events - before
+                        jumps += done
+                        for recorder in sampled:
+                            recorder.advance(solver, done)
                 wall = watch.elapsed()
                 run_span.set("jumps", jumps)
         finally:
             # once per run, never per event; counted also when a step
             # raises (a frozen circuit) after events were realised
-            count_events(self.solver.stats.events - start_jumps)
+            count_events(solver.stats.events - start_jumps)
 
         return RunResult(
-            jumps=self.solver.stats.events - start_jumps,
-            simulated_time=self.solver.time,
+            jumps=solver.stats.events - start_jumps,
+            simulated_time=solver.time,
             wall_time=wall,
-            stats=dataclasses.replace(self.solver.stats),
-            occupation=self.solver.occupation.copy(),
+            stats=dataclasses.replace(solver.stats),
+            occupation=solver.occupation.copy(),
         )
 
     # ------------------------------------------------------------------

@@ -1,16 +1,22 @@
-/* One event of the adaptive solver (Algorithm 1) for normal-state
- * circuits, fused into a single call.
+/* The adaptive solver's event loop (Algorithm 1) for normal-state
+ * circuits, in C.
  *
- * repro_step draws the residence time and the event from the solver's
- * own numpy bit generator, samples the pair-rate tree, commits the event
- * to the occupation and flux counters, updates the island potentials
- * from two columns of C^-1 over the span of the event's capacitive
- * component (C^-1 is block-diagonal over the components, and each column
- * is stored over its span only), runs the breadth-first test of
- * Algorithm 1 against the stored test limits, recomputes the flagged
- * junctions' orthodox rates and repairs the sampling tree once.  The
- * caller (repro/core/adaptive.py) keeps the Kahan clocks, the event
- * count, the TunnelEvent it returns and the event-stream digest.
+ * repro_run realises events until a stop condition, in one call.  Each
+ * event draws the residence time and the event from the solver's own
+ * numpy bit generator, samples the pair-rate tree, commits the event to
+ * the occupation and flux counters, advances the two Kahan clocks,
+ * updates the island potentials from two columns of C^-1 over the span
+ * of the event's capacitive component (C^-1 is block-diagonal over the
+ * components, and each column is stored over its span only), runs the
+ * breadth-first test of Algorithm 1 against the stored test limits,
+ * recomputes the flagged junctions' orthodox rates and repairs the
+ * sampling tree once.  It counts the events and the junctions it
+ * recomputed, and, when the event-stream digest is on, writes each
+ * event's digest record (the bytes BaseSolver._hash_event would hash)
+ * into a byte buffer that the caller hashes once per call.  The caller
+ * (repro/core/adaptive.py) copies the clocks in and out, runs the full
+ * refreshes and wide recomputes a call stops for, and builds a
+ * TunnelEvent when it asked for one event.
  *
  * A flagged batch wider than scalar_batch (and every batch of a
  * retarget's vectorised walk) is computed by repro_prepare, one numpy
@@ -19,15 +25,16 @@
  * those batches with numpy.
  *
  * Every floating-point operation is the one the Python path
- * (AdaptiveSolver._select_fast, Electrostatics.potential_update,
- * _adaptive_update, _recompute_scalar, _recompute_rates, PairRateTree)
- * performs, in the same order, so both paths give the same bits.  Build
- * with -ffp-contract=off (no fused multiply-add) and never with
- * -ffast-math.  CPython's math.log and math.expm1 call the same libm
- * functions.
+ * (AdaptiveSolver._select_fast, BaseSolver._advance_time,
+ * Electrostatics.potential_update, _adaptive_update, _recompute_scalar,
+ * _recompute_rates, PairRateTree) performs, in the same order, so both
+ * paths give the same bits.  Build with -ffp-contract=off (no fused
+ * multiply-add) and never with -ffast-math.  CPython's math.log and
+ * math.expm1 call the same libm functions.
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* numpy's bitgen_t (numpy/random/bitgen.h) */
 typedef struct {
@@ -68,21 +75,44 @@ typedef struct {
     double *xbuf, *ebuf;
     /* k_B T, e, lambda / e, energy cap, transferred charge -e */
     double kt, charge, scale, cap, dq;
-    /* largest flagged batch whose rates repro_step computes with libm */
+    /* largest flagged batch whose rates repro_run computes with libm */
     int64_t scalar_batch;
-    /* outputs of the last step */
+    /* the last event: junction, direction, flagged junctions, dt, dW */
     int64_t junction, forward, n_flagged;
     double dt, dw;
+    /* the solver's Kahan clocks (time, window_elapsed) and their
+     * compensations, and the events since the last full refresh: copied
+     * in before and out after each call */
+    double time, time_comp, window, window_comp;
+    int64_t since_refresh, refresh_interval;
+    /* outputs of the last call: why it stopped (STEP_*), the junctions
+     * its narrow batches recomputed, the digest record bytes written */
+    int64_t status, flagged_total, record_len;
+    /* digest record buffer, or NULL when the digest is off */
+    char *records;
+    int64_t record_capacity;
 } Kernel;
 
+/* Why repro_run stopped. */
 enum {
-    STEP_EVENT = 0,     /* event drawn and Algorithm 1 applied */
+    STEP_BUDGET = 0,    /* max_events events realised */
     STEP_FROZEN = 1,    /* total rate <= 0: nothing drawn */
-    STEP_DEADLINE = 2,  /* dt drawn and beyond the deadline: no event */
-    STEP_RECOMPUTE = 3  /* event drawn, > scalar_batch junctions flagged:
+    STEP_DEADLINE = 2,  /* dt drawn and beyond the deadline: discarded */
+    STEP_RECOMPUTE = 3, /* the last event flagged > scalar_batch junctions:
                            the caller runs repro_prepare, numpy's expm1
                            and repro_finish */
+    STEP_REFRESH = 4,   /* the last event is due a full refresh, which
+                           replaces its walk: the caller runs it */
+    STEP_TIME = 5,      /* time >= stop_time before the next draw */
+    STEP_FULL = 6       /* no room for another digest record */
 };
+
+/* An event realised with nothing left for the caller to do. */
+#define EVENT (-1)
+
+/* The longest digest record: "sequential:", three int64 and a
+ * direction with their separators, and float.hex (at most 24 bytes). */
+#define RECORD_MAX 128
 
 /* PairRateTree.sample: the junction whose interval holds target and the
  * residual within its pair, with the top-of-range rule. */
@@ -262,11 +292,108 @@ static int64_t push(Kernel *k, int64_t tail, int64_t i)
     return tail;
 }
 
-/* One event.  time/deadline/has_deadline mirror step(deadline): a draw
- * with time + dt > deadline is discarded.  walk == 0 when the event is
- * followed by a full refresh, which replaces Algorithm 1's update. */
-int64_t repro_step(Kernel *k, double time, double deadline,
-                   int64_t has_deadline, int64_t walk)
+/* Kahan-compensated clock advance (BaseSolver._advance_time). */
+static void advance(double *clock, double *compensation, double dt)
+{
+    double y = dt - *compensation;
+    double t = *clock + y;
+    *compensation = (t - *clock) - y;
+    *clock = t;
+}
+
+/* Decimal digits of v. */
+static char *put_uint(char *p, uint64_t v)
+{
+    char digits[20];
+    int n = 0;
+    do {
+        digits[n++] = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    while (n)
+        *p++ = digits[--n];
+    return p;
+}
+
+/* float.hex(x): "[-]0x<d>.<13 hex digits>p<+|-><exponent>", with
+ * d = 1 for normal numbers and 0 (exponent -1022) for subnormals;
+ * "0x0.0p+0", "inf" and "nan" as CPython writes them. */
+static char *put_hex(char *p, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const uint64_t mantissa = bits & ((UINT64_C(1) << 52) - 1);
+    const int64_t biased = (int64_t)(bits >> 52) & 0x7ff;
+    if (biased == 0x7ff && mantissa) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (biased == 0x7ff) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (biased == 0 && mantissa == 0) {
+        memcpy(p, "0x0.0p+0", 8);
+        return p + 8;
+    }
+    *p++ = '0';
+    *p++ = 'x';
+    *p++ = biased ? '1' : '0';
+    *p++ = '.';
+    for (int shift = 48; shift >= 0; shift -= 4)
+        *p++ = "0123456789abcdef"[(mantissa >> shift) & 0xf];
+    const int64_t exponent = biased ? biased - 1023 : -1022;
+    *p++ = 'p';
+    *p++ = exponent < 0 ? '-' : '+';
+    return put_uint(p, (uint64_t)(exponent < 0 ? -exponent : exponent));
+}
+
+/* float.hex of x[0:n], each followed by a newline, into out (at least
+ * 32 bytes per value); returns the bytes written. */
+int64_t repro_hex(const double *x, int64_t n, char *out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        p = put_hex(p, x[i]);
+        *p++ = '\n';
+    }
+    return p - out;
+}
+
+/* Append the digest record of one electron through junction j from
+ * node src to node dst: base.event_record_prefix, dt.hex() and a
+ * newline. */
+static void put_record(Kernel *k, int64_t j, int64_t forward,
+                       int64_t src_isl, int64_t src,
+                       int64_t dst_isl, int64_t dst, double dt)
+{
+    char *p = k->records + k->record_len;
+    memcpy(p, "sequential:", 11);
+    p = put_uint(p + 11, (uint64_t)j);
+    if (forward) {
+        memcpy(p, ":1:1:", 5);
+        p += 5;
+    } else {
+        memcpy(p, ":-1:1:", 6);
+        p += 6;
+    }
+    *p++ = src_isl ? '1' : '0';
+    p = put_uint(p, (uint64_t)src);
+    *p++ = ':';
+    *p++ = dst_isl ? '1' : '0';
+    p = put_uint(p, (uint64_t)dst);
+    *p++ = ':';
+    p = put_hex(p, dt);
+    *p++ = '\n';
+    k->record_len = p - k->records;
+}
+
+/* One event.  A draw with time + dt > deadline is discarded when
+ * has_deadline (step(deadline)).  The event that reaches the full
+ * refresh interval skips the walk: the refresh replaces it. */
+static int64_t event(Kernel *k, double deadline, int64_t has_deadline)
 {
     double total = k->tree[1];
     if (total <= 0.0)
@@ -277,7 +404,7 @@ int64_t repro_step(Kernel *k, double time, double deadline,
         r = k->rng->next_double(k->rng->state);
     double dt = -log(r) / total;
     k->dt = dt;
-    if (has_deadline && time + dt > deadline)
+    if (has_deadline && k->time + dt > deadline)
         return STEP_DEADLINE;
     double target = k->rng->next_double(k->rng->state) * total;
     double residual;
@@ -288,7 +415,10 @@ int64_t repro_step(Kernel *k, double time, double deadline,
     k->dw = forward ? k->dw_fw[j] : k->dw_bw[j];
     k->n_flagged = 0;
 
-    /* BaseSolver._apply_event: one electron from node src to node dst */
+    /* BaseSolver._commit_event: the clocks, then one electron from node
+     * src to node dst, then the digest record */
+    advance(&k->time, &k->time_comp, dt);
+    advance(&k->window, &k->window_comp, dt);
     const int64_t src_isl = forward ? k->a_isl[j] : k->b_isl[j];
     const int64_t src = forward ? k->a_idx[j] : k->b_idx[j];
     const int64_t dst_isl = forward ? k->b_isl[j] : k->a_isl[j];
@@ -298,6 +428,8 @@ int64_t repro_step(Kernel *k, double time, double deadline,
     if (dst_isl)
         k->occupation[dst] += 1;
     k->flux[j] += forward ? 1 : -1;
+    if (k->records)
+        put_record(k, j, forward, src_isl, src, dst_isl, dst, dt);
 
     /* Electrostatics.potential_update from src to dst, then v += dv, over
      * the span of the event's component (a junction's islands share one).
@@ -322,8 +454,9 @@ int64_t repro_step(Kernel *k, double time, double deadline,
             v[i] = v[i] + d;
         }
     }
-    if (!walk)
-        return STEP_EVENT;
+    k->since_refresh += 1;
+    if (k->since_refresh >= k->refresh_interval)
+        return STEP_REFRESH;
 
     /* _adaptive_update: breadth-first from the event junction and its
      * neighbours */
@@ -353,5 +486,37 @@ int64_t repro_step(Kernel *k, double time, double deadline,
     if (n_flagged > k->scalar_batch)
         return STEP_RECOMPUTE;
     recompute(k, n_flagged);
-    return STEP_EVENT;
+    k->flagged_total += n_flagged;
+    return EVENT;
+}
+
+/* Realise events until the first of: max_events events, time >=
+ * stop_time before a draw (when has_stop_time: run(max_time=...), so
+ * the last event may overshoot), a draw discarded at the deadline
+ * (when has_deadline: step(deadline)), a frozen draw, an event due a
+ * full refresh or a wide recompute, or a full record buffer.  Returns
+ * the events realised; k->status says why it stopped. */
+int64_t repro_run(Kernel *k, int64_t max_events, double stop_time,
+                  int64_t has_stop_time, double deadline, int64_t has_deadline)
+{
+    int64_t n = 0;
+    int64_t status = EVENT;
+    k->flagged_total = 0;
+    k->record_len = 0;
+    while (status == EVENT) {
+        if (n >= max_events) {
+            status = STEP_BUDGET;
+        } else if (has_stop_time && k->time >= stop_time) {
+            status = STEP_TIME;
+        } else if (k->records
+                   && k->record_capacity - k->record_len < RECORD_MAX) {
+            status = STEP_FULL;
+        } else {
+            status = event(k, deadline, has_deadline);
+            if (status != STEP_FROZEN && status != STEP_DEADLINE)
+                n++;
+        }
+    }
+    k->status = status;
+    return n;
 }

@@ -1,12 +1,16 @@
-"""Loader of the adaptive solver's fused event kernel (``fused_step.c``).
+"""Loader of the adaptive solver's event kernel (``fused_step.c``).
 
-The library exports three functions over one :class:`Kernel` struct.
-``repro_step`` runs one event of Algorithm 1 and commits it to the
-solver's occupation and flux arrays; the caller keeps the clocks, the
-event count and the event-stream digest.  ``repro_prepare`` and
-``repro_finish`` compute a flagged batch wider than
-:data:`SCALAR_BATCH` around one ``numpy.expm1`` call, whose results
-may differ in the last bit from libm's.
+The library's entry points take one :class:`Kernel` struct.
+``repro_run`` realises events of Algorithm 1 until a stop condition
+(:data:`STEP_BUDGET` and the other ``STEP_*`` codes) and returns how
+many: it commits them to the solver's occupation and flux arrays,
+advances the Kahan clocks held in the struct, counts the junctions it
+recomputed and writes the event-stream digest records into a byte
+buffer of :data:`RECORD_BYTES`.  One event (``AdaptiveSolver.step``) is
+a run of one.  ``repro_prepare`` and ``repro_finish`` compute a flagged
+batch wider than :data:`SCALAR_BATCH` around one ``numpy.expm1`` call,
+whose results may differ in the last bit from libm's.  ``repro_hex``
+writes ``float.hex`` of an array, as the digest records do.
 
 The C file is compiled on first use with the system C compiler into the
 repro cache directory (:func:`repro.monitor.ledger.repro_cache_dir`),
@@ -39,11 +43,19 @@ SOURCE = Path(__file__).with_name("fused_step.c")
 #: operation must round as the Python path's does.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-#: Return codes of ``repro_step`` (the ``STEP_*`` enum of the C file).
-STEP_EVENT, STEP_FROZEN, STEP_DEADLINE, STEP_RECOMPUTE = range(4)
+#: Why ``repro_run`` stopped (``Kernel.status``; the ``STEP_*`` enum of
+#: the C file): the event budget, a frozen draw, a draw discarded at the
+#: deadline, a wide batch or a full refresh due after the last event,
+#: the stop time, a full record buffer.
+(STEP_BUDGET, STEP_FROZEN, STEP_DEADLINE, STEP_RECOMPUTE, STEP_REFRESH,
+ STEP_TIME, STEP_FULL) = range(7)
+
+#: Bytes of the digest record buffer: ``repro_run`` stops when another
+#: record might not fit (about 1,400 records of a small circuit).
+RECORD_BYTES = 1 << 16
 
 #: Largest flagged batch whose rates are computed with libm's ``expm1``
-#: (``_recompute_scalar``, or inside ``repro_step``).  Wider batches, and
+#: (``_recompute_scalar``, or inside ``repro_run``).  Wider batches, and
 #: every batch of a retarget's vectorised walk, use numpy's ``expm1``,
 #: which may round differently.  The kernel reads this value from its
 #: ``scalar_batch`` field, so both paths split at the same width.
@@ -55,8 +67,8 @@ _int64_p = ctypes.POINTER(ctypes.c_int64)
 
 class Kernel(ctypes.Structure):
     """The C ``Kernel`` struct, field for field: pointers into the
-    solver's numpy buffers, scalar constants and the last step's
-    outputs."""
+    solver's numpy buffers, scalar constants, the clocks and the last
+    call's outputs."""
 
     _fields_ = [
         ("rng", ctypes.c_void_p),
@@ -103,24 +115,36 @@ class Kernel(ctypes.Structure):
         ("n_flagged", ctypes.c_int64),
         ("dt", ctypes.c_double),
         ("dw", ctypes.c_double),
+        ("time", ctypes.c_double),
+        ("time_comp", ctypes.c_double),
+        ("window", ctypes.c_double),
+        ("window_comp", ctypes.c_double),
+        ("since_refresh", ctypes.c_int64),
+        ("refresh_interval", ctypes.c_int64),
+        ("status", ctypes.c_int64),
+        ("flagged_total", ctypes.c_int64),
+        ("record_len", ctypes.c_int64),
+        ("records", ctypes.POINTER(ctypes.c_uint8)),
+        ("record_capacity", ctypes.c_int64),
     ]
 
 
 @dataclasses.dataclass(frozen=True)
 class Native:
-    """Outcome of :func:`load`: the bound ``repro_step``,
-    ``repro_finish`` and ``repro_prepare`` functions and the library
-    path, or ``step=None`` and the reason."""
+    """Outcome of :func:`load`: the bound ``repro_run``,
+    ``repro_finish``, ``repro_prepare`` and ``repro_hex`` functions and
+    the library path, or ``run=None`` and the reason."""
 
-    step: Any
+    run: Any
     finish: Any
     path: Path | None
     reason: str = ""
     prepare: Any = None
+    hex: Any = None
 
     def describe(self) -> str:
         """One line: which adaptive step runs, and why or from where."""
-        if self.step is None:
+        if self.run is None:
             return f"python ({self.reason})"
         return f"native ({self.path})"
 
@@ -175,21 +199,24 @@ def load() -> Native:
         # PyDLL keeps the GIL across the call: the kernel writes arrays
         # the interpreter owns
         library = ctypes.PyDLL(str(path))
-        step = library.repro_step
+        run = library.repro_run
         prepare, finish = library.repro_prepare, library.repro_finish
+        hex_ = library.repro_hex
     except (OSError, AttributeError, subprocess.SubprocessError) as exc:
         detail = getattr(exc, "stderr", None)
         reason = f"{type(exc).__name__}: {exc}"
         if detail:
             reason += f": {detail.decode(errors='replace').strip()}"
         return Native(None, None, None, reason)
-    step.argtypes = [
-        ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
-        ctypes.c_int64, ctypes.c_int64,
+    run.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
+        ctypes.c_double, ctypes.c_int64,
     ]
-    step.restype = ctypes.c_int64
+    run.restype = ctypes.c_int64
     prepare.argtypes = [ctypes.c_void_p]
     prepare.restype = ctypes.c_int64
     finish.argtypes = [ctypes.c_void_p]
     finish.restype = None
-    return Native(step, finish, path, prepare=prepare)
+    hex_.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    hex_.restype = ctypes.c_int64
+    return Native(run, finish, path, prepare=prepare, hex=hex_)

@@ -4,10 +4,17 @@ Recorders subscribe to the engine and sample the solver after events.
 They deliberately read only public solver state (time, flux,
 potentials), so custom recorders can be written by users without
 touching solver internals.
+
+An :class:`IntervalRecorder` samples only every ``interval`` events, so
+the engine runs the events in between as one batch and calls
+:meth:`IntervalRecorder.advance` once per batch.  Any other recorder
+sees every event through :meth:`Recorder.on_event`, and the engine runs
+one event at a time while it is attached.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -28,6 +35,40 @@ class Recorder:
         raise NotImplementedError
 
 
+class IntervalRecorder(Recorder):
+    """A recorder that samples the solver every ``interval`` events.
+
+    It reads no event, so the engine hands it batches: a batch never
+    runs past the recorder's next sample, and :meth:`advance` samples
+    at the batch's end when that end is the ``interval``-th event.  The
+    event count carries across runs.
+    """
+
+    def __init__(self, interval: int):
+        if interval < 1:
+            raise SimulationError(f"interval must be >= 1, got {interval}")
+        self.interval = interval
+        self._count = 0
+
+    def events_to_sample(self) -> int:
+        """Events from now up to and including the next sample's."""
+        return self.interval - self._count % self.interval
+
+    def advance(self, solver: BaseSolver, events: int) -> None:
+        """Count ``events`` more realised events (at most
+        :meth:`events_to_sample`); sample if the last was a sample's."""
+        self._count += events
+        if events and not self._count % self.interval:
+            self.sample(solver)
+
+    def on_event(self, solver: BaseSolver, event: TunnelEvent) -> None:
+        self.advance(solver, 1)
+
+    def sample(self, solver: BaseSolver) -> None:
+        """Read the solver at a sample event."""
+        raise NotImplementedError
+
+
 @dataclasses.dataclass
 class CurrentSample:
     """Windowed current estimate ending at ``time``."""
@@ -36,7 +77,7 @@ class CurrentSample:
     current: float
 
 
-class CurrentRecorder(Recorder):
+class CurrentRecorder(IntervalRecorder):
     """Windowed-average current through a junction.
 
     Every ``interval`` events the net electron flux accumulated since
@@ -45,12 +86,9 @@ class CurrentRecorder(Recorder):
     """
 
     def __init__(self, junction: int, interval: int = 100):
-        if interval < 1:
-            raise SimulationError(f"interval must be >= 1, got {interval}")
+        super().__init__(interval)
         self.junction = junction
-        self.interval = interval
         self.samples: list[CurrentSample] = []
-        self._count = 0
         self._last_flux = 0
         self._last_time = 0.0
 
@@ -58,10 +96,7 @@ class CurrentRecorder(Recorder):
         self._last_flux = int(solver.flux[self.junction])
         self._last_time = solver.time
 
-    def on_event(self, solver: BaseSolver, event: TunnelEvent) -> None:
-        self._count += 1
-        if self._count % self.interval:
-            return
+    def sample(self, solver: BaseSolver) -> None:
         elapsed = solver.time - self._last_time
         if elapsed <= 0.0:
             return
@@ -84,7 +119,7 @@ class VoltageSample:
     voltage: float
 
 
-class NodeVoltageRecorder(Recorder):
+class NodeVoltageRecorder(IntervalRecorder):
     """Samples an island's potential every ``interval`` events.
 
     Logic benches use this on gate-output wire nodes to extract
@@ -92,22 +127,14 @@ class NodeVoltageRecorder(Recorder):
     """
 
     def __init__(self, island: int, interval: int = 1):
-        if interval < 1:
-            raise SimulationError(f"interval must be >= 1, got {interval}")
+        super().__init__(interval)
         self.island = island
-        self.interval = interval
         self.samples: list[VoltageSample] = []
-        self._count = 0
 
     def on_start(self, solver: BaseSolver) -> None:
-        self.samples.append(
-            VoltageSample(solver.time, float(solver.potentials()[self.island]))
-        )
+        self.sample(solver)
 
-    def on_event(self, solver: BaseSolver, event: TunnelEvent) -> None:
-        self._count += 1
-        if self._count % self.interval:
-            return
+    def sample(self, solver: BaseSolver) -> None:
         self.samples.append(
             VoltageSample(solver.time, float(solver.potentials()[self.island]))
         )
@@ -132,12 +159,15 @@ class EventLogRecorder(Recorder):
     """Keeps the last ``max_events`` realised events for inspection."""
 
     def __init__(self, max_events: int = 100000):
+        if max_events < 1:
+            raise SimulationError(f"max_events must be >= 1, got {max_events}")
         self.max_events = max_events
-        self.events: list[LoggedEvent] = []
+        # a full deque drops its oldest entry in O(1)
+        self.events: collections.deque[LoggedEvent] = collections.deque(
+            maxlen=max_events
+        )
 
     def on_event(self, solver: BaseSolver, event: TunnelEvent) -> None:
-        if len(self.events) >= self.max_events:
-            self.events.pop(0)
         self.events.append(
             LoggedEvent(
                 solver.time, event.kind.value, event.junction,

@@ -1,10 +1,11 @@
 """The adaptive solver's C event kernel against the Python loops.
 
-On normal-state circuits each event is one call into the C kernel of
-``repro.core.native`` (``fused_step.c``).  ``ReferenceAdaptiveSolver``
-runs the Python path, forced there by replacing the kernel loader, with
-the earlier loops on top: the threshold rebuilt from the stored free
-energies on every test, and one root-path repair per flagged junction.
+On normal-state circuits the events run in the C kernel of
+``repro.core.native`` (``fused_step.c``), many per ``repro_run`` call.
+``ReferenceAdaptiveSolver`` runs the Python path, forced there by
+replacing the kernel loader, with the earlier loops on top: the
+threshold rebuilt from the stored free energies on every test, and one
+root-path repair per flagged junction.
 Both must realise the same events and leave the same state, bit for
 bit, and the fast engine must have run its events through the kernel.
 """
@@ -15,6 +16,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,7 +33,6 @@ from repro.constants import E_CHARGE, K_B, MEV
 from repro.core import MonteCarloEngine, SimulationConfig, Sine, run_with_waveforms
 from repro.core import native
 from repro.core.adaptive import AdaptiveSolver
-from repro.core.events import EventKind, TunnelEvent
 from repro.errors import FrozenCircuitError
 from repro.logic import build_benchmark, find_step_stimulus
 
@@ -226,18 +227,34 @@ def engine_pair(monkeypatch, circuit, config, occupation=None):
     return fast, ref
 
 
+class KernelCall(NamedTuple):
+    """One ``repro_run`` call: the events it realised, whether it had a
+    ``step(deadline)`` deadline, and why it stopped."""
+
+    events: int
+    deadline: bool
+    status: int
+
+
 def count_kernel_steps(solver) -> list:
-    """Record every call of ``solver``'s C step (one entry per call)."""
+    """Record every ``repro_run`` call of ``solver`` as a
+    :class:`KernelCall`."""
     assert solver._kernel is not None, native.load().describe()
     calls = []
-    step = solver._native_step
+    run = solver._native_run
 
     def counted(*args):
-        calls.append(args[3])  # has_deadline
-        return step(*args)
+        done = run(*args)
+        calls.append(KernelCall(done, bool(args[5]), solver._kernel.status))
+        return done
 
-    solver._native_step = counted
+    solver._native_run = counted
     return calls
+
+
+def kernel_events(calls) -> int:
+    """Events realised through ``repro_run`` over ``calls``."""
+    return sum(call.events for call in calls)
 
 
 def same_bits(a, b) -> bool:
@@ -305,7 +322,7 @@ def test_set_matches_reference(
     run_toggled(fast, ref, vectors, blocks=8, events=400)
     assert fast.solver.stats.events == 3200
     if not superconducting:
-        assert len(kernel_steps) == 3200
+        assert kernel_events(kernel_steps) == 3200
     assert fast.solver.stats.full_refreshes > 1
     assert (ref.solver.repaired_leaves > 0) == (not superconducting)
 
@@ -347,7 +364,7 @@ def run_74ls280(monkeypatch, threshold, events):
     solver._recompute_wide = counting_wide
     run_toggled(fast, ref, vectors, blocks=6, events=events)
     assert solver.stats.events == 6 * events
-    assert len(kernel_steps) == 6 * events
+    assert kernel_events(kernel_steps) == 6 * events
     return seen
 
 
@@ -406,35 +423,39 @@ def test_scalar_batch_is_shared(monkeypatch):
     assert min(widths["fast"]) <= 64
 
 
-def test_record_prefixes_match_hash_event():
-    """The kernel path's digest record is the prefix of its junction
-    and direction, ``dt.hex()`` and a newline: the bytes
-    ``_hash_event`` writes, on every junction of 74LS280 (island to
-    island and island to source) in both directions."""
+def test_kernel_records_match_hash_event():
+    """Each digest record the kernel writes is the bytes ``_hash_event``
+    writes for the event it returns, over every junction of 74LS280
+    (island to island and island to source) an event crosses, in both
+    directions."""
     mapped = build_benchmark("74LS280")
+    stimulus = find_step_stimulus(mapped.netlist, 0)
     config = SimulationConfig(
-        temperature=mapped.params.temperature, event_hash=True,
+        temperature=mapped.params.temperature, event_hash=True, seed=5,
     )
-    solver = MonteCarloEngine(mapped.circuit, config).solver
+    solver = MonteCarloEngine(
+        mapped.circuit, config,
+        initial_occupation=mapped.initial_occupation(stimulus.before),
+    ).solver
     assert solver._kernel is not None, native.load().describe()
-    kinds = {
-        (a, b) for a, b in zip(solver._a_isl_list, solver._b_isl_list)
-    }
-    assert {(True, True), (False, True)} <= kinds
 
     class Recorder:
         def update(self, data):
-            self.data = data
+            self.data = bytes(data)
 
     solver._event_digest = digest = Recorder()
-    dt = 3.0517578125e-05 / 7
-    for j in range(solver.n_junctions):
-        for forward in (0, 1):
-            direction = 1 if forward else -1
-            event = TunnelEvent(EventKind.SEQUENTIAL, j, direction, 1, 0.0)
-            solver._hash_event(event, dt)
-            record = solver._record(2 * j + forward) + dt.hex() + "\n"
-            assert digest.data == record.encode("ascii")
+    seen = set()
+    for _ in range(3000):
+        event = solver.step()
+        record = digest.data
+        solver._hash_event(event, solver._kernel.dt)
+        assert record == digest.data
+        seen.add((event.junction, event.direction))
+    kinds = {
+        (solver._a_isl_list[j], solver._b_isl_list[j]) for j, _ in seen
+    }
+    assert {(True, True), (False, True)} <= kinds
+    assert {d for _, d in seen} == {1, -1}
 
 
 def free_energy(solver, i) -> float:
@@ -642,7 +663,7 @@ def test_multi_component_matches_reference(monkeypatch, case, backend):
     assert fast.electrostatics is stat and ref.electrostatics is stat
     kernel_steps = count_kernel_steps(fast.solver)
     run_toggled(fast, ref, vectors, blocks=4, events=500)
-    assert len(kernel_steps) == fast.solver.stats.events == 2000
+    assert kernel_events(kernel_steps) == fast.solver.stats.events == 2000
     # both components conducted
     moved = np.abs(fast.solver.flux) > 0
     names = [j.name for j in circuit.junctions]
@@ -667,9 +688,12 @@ def test_ac_drive_with_deadlines_matches_reference(monkeypatch):
     assert results[0] == results[1]
     assert results[0].discarded_boundaries > 50
     assert results[0].events > 1000
-    assert all(kernel_steps) and len(kernel_steps) == (
+    # one call per step(deadline): an event or a discarded draw
+    assert all(call.deadline for call in kernel_steps)
+    assert len(kernel_steps) == (
         results[0].events + results[0].discarded_boundaries
     )
+    assert kernel_events(kernel_steps) == results[0].events
     assert_same_state(fast, ref)
 
 
@@ -683,7 +707,8 @@ def test_frozen_circuit_matches_reference(monkeypatch):
         with pytest.raises(FrozenCircuitError):
             engine.run(max_jumps=1000)
     assert 0 < fast.solver.stats.events == ref.solver.stats.events
-    assert len(kernel_steps) == fast.solver.stats.events + 1
+    assert kernel_events(kernel_steps) == fast.solver.stats.events
+    assert kernel_steps[-1].status == native.STEP_FROZEN
     assert_same_state(fast, ref)
 
 
@@ -731,14 +756,7 @@ def test_frozen_start_then_kernel_events_match_reference(monkeypatch):
     config = SimulationConfig(temperature=0.0, seed=9, event_hash=True)
     fast, ref = engine_pair(monkeypatch, build_set(vs=0.0, vd=0.0), config)
     solver = fast.solver
-    statuses = []
-    step = solver._native_step
-
-    def recorded(*args):
-        statuses.append(step(*args))
-        return statuses[-1]
-
-    solver._native_step = recorded
+    calls = count_kernel_steps(solver)
     fallback = solver._select_fast
     fallbacks = []
 
@@ -764,8 +782,9 @@ def test_frozen_start_then_kernel_events_match_reference(monkeypatch):
         for engine in (fast, ref)
     ]
     assert results[0] == results[1]
+    statuses = [call.status for call in calls]
     assert statuses[0] == native.STEP_FROZEN and fallbacks[0] is not None
-    assert statuses.count(native.STEP_EVENT) == len(events) > 100
+    assert kernel_events(calls) == len(events) > 100
     assert len(fallbacks) == statuses.count(native.STEP_FROZEN)
     assert_same_state(fast, ref)
     flux = np.zeros_like(solver.flux)
@@ -838,7 +857,7 @@ def test_missing_compiler_falls_back_to_python(tmp_path, monkeypatch):
     native.load.cache_clear()
     try:
         fallback = native.load()
-        assert fallback.step is None
+        assert fallback.run is None
         assert "no C compiler" in fallback.describe()
         config = SimulationConfig(temperature=5.0, seed=4, event_hash=True)
         engine = MonteCarloEngine(build_set(vs=0.03, vd=-0.03), config)

@@ -1,5 +1,7 @@
 """Tests for the engine loop, recorders and sweep drivers."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,23 @@ class TestRecorders:
         biased_engine.run(max_jumps=300)
         assert len(recorder.events) == 50
         assert recorder.events[-1].kind == "sequential"
+
+    def test_event_log_keeps_the_latest_events_in_a_bounded_deque(
+        self, biased_engine
+    ):
+        """A full log drops its oldest entry in O(1) (a list's ``pop(0)``
+        shifted every entry, per event) and keeps the latest in order."""
+        bounded = biased_engine.add_recorder(EventLogRecorder(max_events=50))
+        unbounded = biased_engine.add_recorder(EventLogRecorder(max_events=1000))
+        biased_engine.run(max_jumps=300)
+        assert isinstance(bounded.events, collections.deque)
+        assert bounded.events.maxlen == 50
+        assert list(bounded.events) == list(unbounded.events)[-50:]
+
+    @pytest.mark.parametrize("max_events", [0, -1])
+    def test_event_log_needs_room_for_an_event(self, max_events):
+        with pytest.raises(SimulationError, match="max_events"):
+            EventLogRecorder(max_events=max_events)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(SimulationError):
