@@ -23,15 +23,17 @@ changed appreciably have their rates recomputed:
 4. every ``full_refresh_interval`` events all rates are recomputed,
    bounding the cumulative error.
 
-On normal-state circuits without secondary channels the events run in
-a C kernel (:mod:`repro.core.native`, ``fused_step.c``): one
-``repro_run`` call realises a batch of events, each with the draw, the
-tree sample, the occupation and flux update, the Kahan clocks, the
-potential update, the test walk, the scalar recompute, the tree repair
-and the event-stream digest record, with the same IEEE operations as
-the Python methods below, over the same buffers.  A call stops at the
-engine's event budget or stop time, or for the work Python does between
-events: a full refresh, a batch wider than ``native.SCALAR_BATCH``
+On every circuit without cotunneling the events run in a C kernel
+(:mod:`repro.core.native`, ``fused_step.c``): one ``repro_run`` call
+realises a batch of events, each with the draw, the selection (the tree
+sample, or with Cooper pairs on the cumulative pair and Cooper-pair
+rates), the occupation and flux update, the Kahan clocks, the potential
+update, the test walk, the scalar recompute (orthodox rates, or each
+junction's quasi-particle table lookup), the tree repair and the
+event-stream digest record, with the same IEEE operations as the Python
+methods below, over the same buffers.  A call stops at the engine's
+event budget or stop time, or for the work Python does between events:
+a full refresh, an orthodox batch wider than ``native.SCALAR_BATCH``
 (computed by the kernel around one ``numpy.expm1`` call, the loop the
 Python path's numpy recompute runs), a frozen draw, or a full record
 buffer.  :meth:`AdaptiveSolver.step` is a run of one event.  The Python
@@ -54,7 +56,7 @@ import numpy as np
 from repro.circuit.circuit import Circuit
 from repro.circuit.electrostatics import Electrostatics
 from repro.circuit.junction_table import JunctionTable
-from repro.constants import E_CHARGE, K_B
+from repro.constants import E_CHARGE, HBAR, K_B
 from repro.core import native
 from repro.core.base import BaseSolver
 from repro.core.config import SimulationConfig
@@ -63,6 +65,17 @@ from repro.core.events import EventKind, TunnelEvent
 from repro.core.pairtree import PairRateTree
 from repro.physics.orthodox import orthodox_rates_both
 from repro.physics.rates import TunnelingModel
+
+
+def _extension_is_minus_one(table) -> bool:
+    """Whether every ``expm1`` argument of ``table``'s ohmic extension,
+    at most ``(grid[0] + Delta1 + Delta2) / kT``, lies at or below
+    :data:`native.EXPM1_MINUS_ONE`.  A table at T = 0 calls no
+    ``expm1``."""
+    if table.temperature == 0.0:
+        return True
+    energy = float(table._grid[0]) + table.delta1 + table.delta2
+    return energy / (K_B * table.temperature) <= native.EXPM1_MINUS_ONE
 
 
 class AdaptiveSolver(BaseSolver):
@@ -139,13 +152,21 @@ class AdaptiveSolver(BaseSolver):
 
     def _bind_kernel(self) -> native.Kernel | None:
         """The C kernel's view of this solver's buffers, or ``None``
-        when the Python path runs: superconducting or secondary-channel
-        models, a neighbour list that makes a seed list longer than the
-        scalar walk takes, or a kernel that could not be built.  Sets
-        :attr:`step_path` to say which."""
-        tree = self._tree
-        if tree is None or self.model.superconducting:
-            self.step_path = "python (superconducting or secondary-channel model)"
+        when the Python path runs: cotunneling models, a quasi-particle
+        table whose ohmic extension reaches ``expm1`` arguments above
+        :data:`native.EXPM1_MINUS_ONE` (where libm's and numpy's results
+        may differ), a neighbour list that makes a seed list longer than
+        the scalar walk takes, or a kernel that could not be built.
+        Sets :attr:`step_path` to say which."""
+        model = self.model
+        if model.include_cotunneling:
+            self.step_path = "python (cotunneling model)"
+            return None
+        if not all(map(_extension_is_minus_one, model._qp_tables)):
+            self.step_path = (
+                "python (a quasi-particle table's ohmic extension reaches "
+                f"expm1 arguments above {native.EXPM1_MINUS_ONE})"
+            )
             return None
         if max(map(len, self._neighbors), default=0) + 1 > 256:
             self.step_path = "python (an event's seed list exceeds 256 junctions)"
@@ -187,7 +208,6 @@ class AdaptiveSolver(BaseSolver):
             "seq_bw": self._seq_bw,
             "b0": self._b0,
             "limit": self._limit,
-            "tree": tree.nodes,
             "occupation": self.occupation,
             "flux": self.flux,
             "dv": np.zeros(self.stat.n_islands),
@@ -197,22 +217,61 @@ class AdaptiveSolver(BaseSolver):
             "xbuf": self._xbuf,
             "ebuf": self._ebuf,
         }
+        if self._tree is not None:
+            buffers["tree"] = self._tree.nodes
+        if model.superconducting:
+            # the kernel reads each junction's table in place
+            tables = model._qp_tables
+            buffers["qp_grid"] = np.array(
+                [table._grid.ctypes.data for table in tables], dtype=np.uintp
+            )
+            buffers["qp_rates"] = np.array(
+                [table._rates.ctypes.data for table in tables], dtype=np.uintp
+            )
+            buffers["qp_points"] = np.array(
+                [len(table._grid) for table in tables], dtype=int64
+            )
+            buffers["qp_params"] = np.array([
+                (table._extension_scale, table.delta1, table.delta2,
+                 table.resistance)
+                for table in tables
+            ])
+        cooper = {}
+        if model.include_cooper_pairs:
+            # JunctionTable.free_energy_changes's self-energy of a 2e
+            # transfer and TunnelingModel.cooper_pair_rates's factors
+            dq = -2.0 * E_CHARGE
+            linewidth = model.cooper_linewidth
+            buffers["cp_charging"] = 0.5 * dq * dq * self.table.charging
+            buffers["ej2"] = model.josephson * model.josephson
+            scratch = np.zeros(7 * n)
+            buffers["pair"] = scratch[:n]
+            buffers["cp_dw"] = scratch[n:3 * n]
+            buffers["cp_rate"] = scratch[3 * n:5 * n]
+            buffers["cumulative"] = scratch[5 * n:]
+            cooper = dict(
+                cooper=1,
+                cp_scale=1.0 * 1.0 / (2.0 * HBAR) * linewidth,
+                cp_quarter=0.25 * linewidth * linewidth,
+            )
         if self._event_digest is not None:
             self._records = np.zeros(native.RECORD_BYTES, dtype=np.uint8)
             buffers["records"] = self._records
         kernel = native.Kernel(
             rng=self.rng.bit_generator.ctypes.bit_generator.value,
             n_junctions=n,
-            tree_size=tree._size,
+            tree_size=0 if self._tree is None else self._tree._size,
             cinv_row=layout.row,
             kt=K_B * self.model.temperature,
             charge=E_CHARGE,
             scale=self.config.adaptive_threshold / E_CHARGE,
             cap=self._energy_cap,
             dq=-E_CHARGE,
-            scalar_batch=native.SCALAR_BATCH,
+            # a superconducting batch of any width is computed in C
+            scalar_batch=n if model.superconducting else native.SCALAR_BATCH,
             refresh_interval=self.config.full_refresh_interval,
             record_capacity=native.RECORD_BYTES,
+            **cooper,
         )
         pointer_types = dict(native.Kernel._fields_)
         for name, array in buffers.items():
@@ -274,9 +333,15 @@ class AdaptiveSolver(BaseSolver):
 
     def _recompute_junctions(self, indices) -> None:
         """Recompute free energies and rates for flagged junctions only:
-        a list of at most :data:`native.SCALAR_BATCH` on Python floats
-        (orthodox rates with libm's ``expm1``), a wider list or an array
-        with numpy's."""
+        a superconducting model's batch of any width and an orthodox
+        list of at most :data:`native.SCALAR_BATCH` on Python floats
+        (orthodox rates with libm's ``expm1``), a wider orthodox list or
+        an array with numpy's."""
+        if self.model.superconducting:
+            self._recompute_scalar(
+                indices if isinstance(indices, list) else indices.tolist()
+            )
+            return
         if isinstance(indices, list) and len(indices) <= native.SCALAR_BATCH:
             self._recompute_scalar(indices)
             return
@@ -313,8 +378,8 @@ class AdaptiveSolver(BaseSolver):
         self.stats.flagged_recalculations += n
 
     def _recompute_rates(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Write the free energies and rates of junctions ``idx`` with
-        numpy; returns the free energies."""
+        """Write the free energies and orthodox rates of junctions
+        ``idx`` with numpy; returns the free energies."""
         phi_a = np.where(
             self._a_is_island[idx],
             self._v[np.minimum(self._a_index[idx], len(self._v) - 1)],
@@ -331,17 +396,11 @@ class AdaptiveSolver(BaseSolver):
         dw_bw = +E_CHARGE * drop + self_energy
         self._dw_fw[idx] = dw_fw
         self._dw_bw[idx] = dw_bw
-        if not self.model.superconducting:
-            fw, bw = orthodox_rates_both(
-                dw_fw, dw_bw, self.table.resistance[idx], self.model.temperature
-            )
-            self._seq_fw[idx] = fw
-            self._seq_bw[idx] = bw
-        else:
-            for pos, j in enumerate(idx):
-                j = int(j)
-                self._seq_fw[j] = self.model.sequential_rate_single(j, dw_fw[pos])
-                self._seq_bw[j] = self.model.sequential_rate_single(j, dw_bw[pos])
+        fw, bw = orthodox_rates_both(
+            dw_fw, dw_bw, self.table.resistance[idx], self.model.temperature
+        )
+        self._seq_fw[idx] = fw
+        self._seq_bw[idx] = bw
         return dw_fw, dw_bw
 
     def _recompute_scalar(self, indices: list) -> None:
@@ -525,9 +584,11 @@ class AdaptiveSolver(BaseSolver):
         if kernel is not None:
             if not self._run_native(1, None, deadline):
                 return None
+            electrons = kernel.n_electrons
             return TunnelEvent(
-                EventKind.SEQUENTIAL, kernel.junction,
-                1 if kernel.forward else -1, 1, kernel.dw,
+                EventKind.COOPER_PAIR if electrons == 2 else EventKind.SEQUENTIAL,
+                kernel.junction, 1 if kernel.forward else -1, electrons,
+                kernel.dw,
             )
         if self._fast:
             event = self._select_fast(deadline)
@@ -600,6 +661,11 @@ class AdaptiveSolver(BaseSolver):
         if self._event_digest is not None:
             self._event_digest.update(self._records[: kernel.record_len])
         status = kernel.status
+        if kernel.cooper:
+            # every draw formed the Cooper-pair rates, a frozen or
+            # discarded one too
+            draws = done + (status in (native.STEP_FROZEN, native.STEP_DEADLINE))
+            stats.secondary_rate_evaluations += 2 * self.n_junctions * draws
         if status == native.STEP_REFRESH:
             self._full_refresh()
         elif status == native.STEP_RECOMPUTE:
@@ -607,10 +673,17 @@ class AdaptiveSolver(BaseSolver):
         elif status == native.STEP_DEADLINE:
             self._advance_time(deadline - self.time)
         elif status == native.STEP_FROZEN:
-            # nothing drawn: the Python draw raises FrozenCircuitError,
-            # or advances to the deadline, without touching the stream
-            self._select_fast(deadline)
+            self._frozen_draw(deadline)
         return done
+
+    def _frozen_draw(self, deadline: float | None) -> None:
+        """What a Python draw does at a total rate of zero, which the
+        kernel leaves to its caller: raise ``FrozenCircuitError``, or
+        advance the clocks to ``deadline``, without touching the random
+        stream."""
+        if deadline is None:
+            draw_time(0.0, self.rng)
+        self._advance_time(deadline - self.time)
 
     def _select_fast(self, deadline: float | None = None) -> TunnelEvent | None:
         """Sequential-only event draw through the O(log J) pair tree."""

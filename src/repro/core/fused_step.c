@@ -1,31 +1,42 @@
-/* The adaptive solver's event loop (Algorithm 1) for normal-state
- * circuits, in C.
+/* The adaptive solver's event loop (Algorithm 1) in C, for normal-state
+ * and superconducting circuits without cotunneling.
  *
  * repro_run realises events until a stop condition, in one call.  Each
  * event draws the residence time and the event from the solver's own
- * numpy bit generator, samples the pair-rate tree, commits the event to
+ * numpy bit generator, samples the pair-rate tree (or, with Cooper pairs
+ * on, the cumulative pair and Cooper-pair rates), commits the event to
  * the occupation and flux counters, advances the two Kahan clocks,
  * updates the island potentials from two columns of C^-1 over the span
  * of the event's capacitive component (C^-1 is block-diagonal over the
  * components, and each column is stored over its span only), runs the
  * breadth-first test of Algorithm 1 against the stored test limits,
- * recomputes the flagged junctions' orthodox rates and repairs the
- * sampling tree once.  It counts the events and the junctions it
- * recomputed, and, when the event-stream digest is on, writes each
- * event's digest record (the bytes BaseSolver._hash_event would hash)
- * into a byte buffer that the caller hashes once per call.  The caller
- * (repro/core/adaptive.py) copies the clocks in and out, runs the full
- * refreshes and wide recomputes a call stops for, and builds a
+ * recomputes the flagged junctions' orthodox or quasi-particle rates and
+ * repairs the sampling tree once.  It counts the events and the
+ * junctions it recomputed, and, when the event-stream digest is on,
+ * writes each event's digest record (the bytes BaseSolver._hash_event
+ * would hash) into a byte buffer that the caller hashes once per call.
+ * The caller (repro/core/adaptive.py) copies the clocks in and out, runs
+ * the full refreshes and wide recomputes a call stops for, and builds a
  * TunnelEvent when it asked for one event.
  *
- * A flagged batch wider than scalar_batch (and every batch of a
+ * A superconducting model's rates come from each junction's tabulated
+ * quasi-particle rate (QuasiparticleRateTable._rate): a bisection, numpy's
+ * linear interpolation, and below the table the ohmic extension, whose
+ * expm1 arguments the caller has checked to lie where libm and numpy both
+ * give exactly -1.  Its batches of any width are computed here.  With
+ * Cooper pairs on, each draw also forms the 2e free energies and the
+ * Lorentzian Cooper-pair rates, sums both channel kinds as numpy.sum
+ * does and selects as choose_pair and choose_channel do.
+ *
+ * An orthodox flagged batch wider than scalar_batch (and every batch of a
  * retarget's vectorised walk) is computed by repro_prepare, one numpy
  * expm1 call over the packed arguments, and repro_finish: numpy's SIMD
  * expm1 may round differently from libm's, and the Python path computes
  * those batches with numpy.
  *
  * Every floating-point operation is the one the Python path
- * (AdaptiveSolver._select_fast, BaseSolver._advance_time,
+ * (AdaptiveSolver._select_fast, BaseSolver._select_and_apply,
+ * BaseSolver._secondary_rates, BaseSolver._advance_time,
  * Electrostatics.potential_update, _adaptive_update, _recompute_scalar,
  * _recompute_rates, PairRateTree) performs, in the same order, so both
  * paths give the same bits.  Build with -ffp-contract=off (no fused
@@ -75,10 +86,31 @@ typedef struct {
     double *xbuf, *ebuf;
     /* k_B T, e, lambda / e, energy cap, transferred charge -e */
     double kt, charge, scale, cap, dq;
-    /* largest flagged batch whose rates repro_run computes with libm */
+    /* largest flagged batch whose rates repro_run computes itself */
     int64_t scalar_batch;
-    /* the last event: junction, direction, flagged junctions, dt, dW */
-    int64_t junction, forward, n_flagged;
+    /* superconducting models (NULL qp_grid for normal-state ones):
+     * junction i's quasi-particle table has qp_points[i] free energies at
+     * qp_grid[i] and rates at qp_rates[i]; its ohmic extension below the
+     * grid reads qp_params[4 i : 4 i + 4] = scale, delta1, delta2,
+     * resistance */
+    const double *const *qp_grid;
+    const double *const *qp_rates;
+    const int64_t *qp_points;
+    const double *qp_params;
+    /* Cooper pairs on: events are drawn over the pair rates, then the
+     * Cooper-pair rates, without the tree (NULL tree) */
+    int64_t cooper;
+    /* 0.5 (2e)^2 (K_aa - 2 K_ab + K_bb) and E_J^2 per junction, and the
+     * Lorentzian's gamma / (2 hbar) and 0.25 gamma^2 */
+    const double *cp_charging, *ej2;
+    double cp_scale, cp_quarter;
+    /* scratch of a Cooper-pair draw: pair rates (n), Cooper-pair free
+     * energies and rates (2 n each, forward then backward) and
+     * cumulative sums (2 n) */
+    double *pair, *cp_dw, *cp_rate, *cumulative;
+    /* the last event: junction, direction, electrons (2 for a Cooper
+     * pair), flagged junctions, dt, dW */
+    int64_t junction, forward, n_electrons, n_flagged;
     double dt, dw;
     /* the solver's Kahan clocks (time, window_elapsed) and their
      * compensations, and the events since the last full refresh: copied
@@ -98,9 +130,9 @@ enum {
     STEP_BUDGET = 0,    /* max_events events realised */
     STEP_FROZEN = 1,    /* total rate <= 0: nothing drawn */
     STEP_DEADLINE = 2,  /* dt drawn and beyond the deadline: discarded */
-    STEP_RECOMPUTE = 3, /* the last event flagged > scalar_batch junctions:
-                           the caller runs repro_prepare, numpy's expm1
-                           and repro_finish */
+    STEP_RECOMPUTE = 3, /* the last event flagged > scalar_batch junctions
+                           (orthodox models only): the caller runs
+                           repro_prepare, numpy's expm1 and repro_finish */
     STEP_REFRESH = 4,   /* the last event is due a full refresh, which
                            replaces its walk: the caller runs it */
     STEP_TIME = 5,      /* time >= stop_time before the next draw */
@@ -110,8 +142,9 @@ enum {
 /* An event realised with nothing left for the caller to do. */
 #define EVENT (-1)
 
-/* The longest digest record: "sequential:", three int64 and a
- * direction with their separators, and float.hex (at most 24 bytes). */
+/* The longest digest record: "cooper_pair:", three int64, a direction
+ * and an electron count with their separators, and float.hex (at most
+ * 24 bytes). */
 #define RECORD_MAX 128
 
 /* PairRateTree.sample: the junction whose interval holds target and the
@@ -156,16 +189,83 @@ static double orthodox(double dw, double kt, double denominator)
     return dw < 0.0 ? -dw / denominator : 0.0;
 }
 
+/* QuasiparticleRateTable._extension: the ohmic rate of the shifted
+ * energy below the grid, params = scale, delta1, delta2, resistance. */
+static double qp_extension(const double *params, double kt, double e,
+                           double x)
+{
+    double energy = x + params[1] + params[2];
+    double weight;
+    if (kt == 0.0) {
+        weight = energy < 0.0 ? -energy : 0.0;
+    } else {
+        double y = energy / kt;
+        if (fabs(y) < 1e-12)
+            weight = kt;
+        else if (y > 500.0)
+            weight = 0.0;
+        else
+            weight = energy / expm1(y);
+    }
+    return params[0] * (weight / (e * e * params[3]));
+}
+
+/* QuasiparticleRateTable._rate of junction i's table: NaN passes
+ * through, zero above the grid, the extension below it, and inside it
+ * bisect_right and numpy's interpolation with its retry from the other
+ * end of a NaN interval. */
+static double qp_rate(const Kernel *k, int64_t i, double x)
+{
+    const double *grid = k->qp_grid[i];
+    const int64_t n = k->qp_points[i];
+    if (x != x)
+        return x;
+    if (x > grid[n - 1])
+        return 0.0;
+    if (x < grid[0])
+        return qp_extension(k->qp_params + 4 * i, k->kt, k->charge, x);
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) / 2;
+        if (x < grid[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    int64_t j = lo - 1;
+    const double *rates = k->qp_rates[i];
+    double y0 = rates[j];
+    double x0 = grid[j];
+    if (x == x0 || j == n - 1)
+        return y0;
+    double x1 = grid[j + 1];
+    double y1 = rates[j + 1];
+    double slope = (y1 - y0) / (x1 - x0);
+    double out = slope * (x - x0) + y0;
+    if (out != out) {
+        out = slope * (x - x1) + y1;
+        if (out != out && y0 == y1)
+            out = y0;
+    }
+    return out;
+}
+
+/* qp_rate of junction j at x[0:n] into out: the lookup on its own, for
+ * tests against QuasiparticleRateTable._rate. */
+void repro_qp_rates(const Kernel *k, int64_t j, const double *x, int64_t n,
+                    double *out)
+{
+    for (int64_t m = 0; m < n; m++)
+        out[m] = qp_rate(k, j, x[m]);
+}
+
 /* The tail of every recompute of flagged[0:n], whose free energies and
  * rates are already written: zero the testing factors, store the test
- * limits and repair the sampling tree once (PairRateTree.update): every
- * repaired node is the sum of its final children, level by level. */
+ * limits and repair the sampling tree once (PairRateTree.update), when
+ * there is one: every repaired node is the sum of its final children,
+ * level by level. */
 static void finish(Kernel *k, int64_t n)
 {
-    double *tree = k->tree;
-    int64_t size = k->tree_size;
-    /* the walk queue is free once the walk is over */
-    int64_t *nodes = k->queue;
     for (int64_t m = 0; m < n; m++) {
         int64_t i = k->flagged[m];
         k->b0[i] = 0.0;
@@ -176,6 +276,15 @@ static void finish(Kernel *k, int64_t n)
         if (k->cap < smaller)
             smaller = k->cap;
         k->limit[i] = k->scale * smaller;
+    }
+    double *tree = k->tree;
+    if (!tree)
+        return;
+    int64_t size = k->tree_size;
+    /* the walk queue is free once the walk is over */
+    int64_t *nodes = k->queue;
+    for (int64_t m = 0; m < n; m++) {
+        int64_t i = k->flagged[m];
         tree[size + i] = k->seq_fw[i] + k->seq_bw[i];
         nodes[m] = (size + i) >> 1;
     }
@@ -209,11 +318,147 @@ static void recompute(Kernel *k, int64_t n)
     for (int64_t m = 0; m < n; m++) {
         int64_t i = k->flagged[m];
         free_energies(k, i);
-        double denominator = e2 * k->resistance[i];
-        k->seq_fw[i] = orthodox(k->dw_fw[i], k->kt, denominator);
-        k->seq_bw[i] = orthodox(k->dw_bw[i], k->kt, denominator);
+        if (k->qp_grid) {
+            k->seq_fw[i] = qp_rate(k, i, k->dw_fw[i]);
+            k->seq_bw[i] = qp_rate(k, i, k->dw_bw[i]);
+        } else {
+            double denominator = e2 * k->resistance[i];
+            k->seq_fw[i] = orthodox(k->dw_fw[i], k->kt, denominator);
+            k->seq_bw[i] = orthodox(k->dw_bw[i], k->kt, denominator);
+        }
     }
     finish(k, n);
+}
+
+/* numpy's pairwise summation of a[0:n] (the loop numpy.sum runs over a
+ * contiguous float64 array): fewer than 8 terms in order, at most 128
+ * in 8 interleaved accumulators, and longer runs split in two at a
+ * multiple of 8. */
+static double pairwise(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        int64_t i;
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+/* numpy.sum of a[0:n]: the reduction starts from add's identity. */
+double repro_sum(const double *a, int64_t n)
+{
+    return 0.0 + pairwise(a, n);
+}
+
+/* numpy.cumsum of a[0:n] into c. */
+static void cumsum(const double *a, int64_t n, double *c)
+{
+    double s = a[0];
+    c[0] = s;
+    for (int64_t i = 1; i < n; i++) {
+        s = s + a[i];
+        c[i] = s;
+    }
+}
+
+/* numpy.searchsorted(c[0:n], key, side="right"): numpy's bisection, with
+ * its order that puts NaN last. */
+static int64_t search_right(const double *c, int64_t n, double key)
+{
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = lo + ((hi - lo) >> 1);
+        double value = c[mid];
+        if (key < value || (value != value && key == key))
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+/* event_solver._last_positive: the last index at or below i with a
+ * positive rate (0 when there is none). */
+static int64_t last_positive(const double *rates, int64_t i)
+{
+    while (i > 0 && !(rates[i] > 0.0))
+        i -= 1;
+    return i;
+}
+
+/* BaseSolver._secondary_rates and the totals of _select_and_apply with
+ * Cooper pairs on: the pair rates, the free energies of a 2e transfer
+ * (JunctionTable.free_energy_changes with dq = -2e), the Lorentzian
+ * rates (TunnelingModel.cooper_pair_rates), forward then backward, and
+ * numpy.sum of both kinds.  Returns the total rate. */
+static double channel_rates(Kernel *k, double *pair_total)
+{
+    const int64_t n = k->n_junctions;
+    const double dq = 2.0 * k->dq;
+    for (int64_t i = 0; i < n; i++) {
+        k->pair[i] = k->seq_fw[i] + k->seq_bw[i];
+        double phi_a = k->a_isl[i] ? k->v[k->a_idx[i]] : k->vext[k->a_idx[i]];
+        double phi_b = k->b_isl[i] ? k->v[k->b_idx[i]] : k->vext[k->b_idx[i]];
+        double drop = phi_b - phi_a;
+        double self_energy = k->cp_charging[i];
+        double fw = dq * drop + self_energy;
+        double bw = -dq * drop + self_energy;
+        k->cp_dw[i] = fw;
+        k->cp_dw[n + i] = bw;
+        k->cp_rate[i] = k->cp_scale / (fw * fw + k->cp_quarter) * k->ej2[i];
+        k->cp_rate[n + i] =
+            k->cp_scale / (bw * bw + k->cp_quarter) * k->ej2[i];
+    }
+    *pair_total = repro_sum(k->pair, n);
+    return *pair_total + repro_sum(k->cp_rate, 2 * n);
+}
+
+/* choose_pair: the junction whose interval of the cumulative pair rates
+ * holds target, and its direction, with the top-of-range rule. */
+static int64_t choose_pair(Kernel *k, double target, int64_t *forward)
+{
+    const int64_t n = k->n_junctions;
+    const double *pair = k->pair;
+    double *c = k->cumulative;
+    cumsum(pair, n, c);
+    int64_t j = search_right(c, n, target);
+    double residual = target - (j ? c[j - 1] : 0.0);
+    if (j >= n || !(residual < pair[j])) {
+        j = last_positive(pair, j < n - 1 ? j : n - 1);
+        residual = nextafter(pair[j], 0.0);
+    }
+    *forward = residual < k->seq_fw[j];
+    return j;
+}
+
+/* choose_channel over the Cooper-pair rates: the channel whose interval
+ * of their cumulative sum holds target, with the top-of-range rule. */
+static int64_t choose_channel(Kernel *k, double target)
+{
+    const int64_t n = 2 * k->n_junctions;
+    double *c = k->cumulative;
+    cumsum(k->cp_rate, n, c);
+    int64_t index = search_right(c, n, target);
+    if (index >= n)
+        index = last_positive(k->cp_rate, n - 1);
+    return index;
 }
 
 /* Whether bose_weight sends x = dW / kT to expm1: neither |x| < 1e-12
@@ -362,23 +607,31 @@ int64_t repro_hex(const double *x, int64_t n, char *out)
     return p - out;
 }
 
-/* Append the digest record of one electron through junction j from
- * node src to node dst: base.event_record_prefix, dt.hex() and a
- * newline. */
+/* Append the digest record of electrons (1, or 2 for a Cooper pair)
+ * through junction j from node src to node dst:
+ * base.event_record_prefix, dt.hex() and a newline. */
 static void put_record(Kernel *k, int64_t j, int64_t forward,
-                       int64_t src_isl, int64_t src,
+                       int64_t electrons, int64_t src_isl, int64_t src,
                        int64_t dst_isl, int64_t dst, double dt)
 {
     char *p = k->records + k->record_len;
-    memcpy(p, "sequential:", 11);
-    p = put_uint(p + 11, (uint64_t)j);
-    if (forward) {
-        memcpy(p, ":1:1:", 5);
-        p += 5;
+    if (electrons == 2) {
+        memcpy(p, "cooper_pair:", 12);
+        p += 12;
     } else {
-        memcpy(p, ":-1:1:", 6);
-        p += 6;
+        memcpy(p, "sequential:", 11);
+        p += 11;
     }
+    p = put_uint(p, (uint64_t)j);
+    if (forward) {
+        memcpy(p, ":1:", 3);
+        p += 3;
+    } else {
+        memcpy(p, ":-1:", 4);
+        p += 4;
+    }
+    *p++ = (char)('0' + electrons);
+    *p++ = ':';
     *p++ = src_isl ? '1' : '0';
     p = put_uint(p, (uint64_t)src);
     *p++ = ':';
@@ -395,7 +648,8 @@ static void put_record(Kernel *k, int64_t j, int64_t forward,
  * refresh interval skips the walk: the refresh replaces it. */
 static int64_t event(Kernel *k, double deadline, int64_t has_deadline)
 {
-    double total = k->tree[1];
+    double pair_total = 0.0;
+    double total = k->cooper ? channel_rates(k, &pair_total) : k->tree[1];
     if (total <= 0.0)
         return STEP_FROZEN;
     /* draw_time */
@@ -407,15 +661,29 @@ static int64_t event(Kernel *k, double deadline, int64_t has_deadline)
     if (has_deadline && k->time + dt > deadline)
         return STEP_DEADLINE;
     double target = k->rng->next_double(k->rng->state) * total;
-    double residual;
-    int64_t j = sample(k, target, &residual);
-    int64_t forward = residual < k->seq_fw[j];
+    int64_t j, forward, electrons = 1;
+    if (!k->cooper) {
+        double residual;
+        j = sample(k, target, &residual);
+        forward = residual < k->seq_fw[j];
+        k->dw = forward ? k->dw_fw[j] : k->dw_bw[j];
+    } else if (target < pair_total) {
+        j = choose_pair(k, target, &forward);
+        k->dw = forward ? k->dw_fw[j] : k->dw_bw[j];
+    } else {
+        /* BaseSolver._secondary_event */
+        int64_t index = choose_channel(k, target - pair_total);
+        j = index % k->n_junctions;
+        forward = index < k->n_junctions;
+        electrons = 2;
+        k->dw = k->cp_dw[index];
+    }
     k->junction = j;
     k->forward = forward;
-    k->dw = forward ? k->dw_fw[j] : k->dw_bw[j];
+    k->n_electrons = electrons;
     k->n_flagged = 0;
 
-    /* BaseSolver._commit_event: the clocks, then one electron from node
+    /* BaseSolver._commit_event: the clocks, then the electrons from node
      * src to node dst, then the digest record */
     advance(&k->time, &k->time_comp, dt);
     advance(&k->window, &k->window_comp, dt);
@@ -424,12 +692,12 @@ static int64_t event(Kernel *k, double deadline, int64_t has_deadline)
     const int64_t dst_isl = forward ? k->b_isl[j] : k->a_isl[j];
     const int64_t dst = forward ? k->b_idx[j] : k->a_idx[j];
     if (src_isl)
-        k->occupation[src] -= 1;
+        k->occupation[src] -= electrons;
     if (dst_isl)
-        k->occupation[dst] += 1;
-    k->flux[j] += forward ? 1 : -1;
+        k->occupation[dst] += electrons;
+    k->flux[j] += forward ? electrons : -electrons;
     if (k->records)
-        put_record(k, j, forward, src_isl, src, dst_isl, dst, dt);
+        put_record(k, j, forward, electrons, src_isl, src, dst_isl, dst, dt);
 
     /* Electrostatics.potential_update from src to dst, then v += dv, over
      * the span of the event's component (a junction's islands share one).
@@ -442,7 +710,7 @@ static int64_t event(Kernel *k, double deadline, int64_t has_deadline)
         const double *col_src = src_isl ? k->cinv + k->cinv_offset[src] : 0;
         const double *col_dst = dst_isl ? k->cinv + k->cinv_offset[dst] : 0;
         const int64_t row = k->cinv_row;
-        const double dq = k->dq;
+        const double dq = electrons == 2 ? 2.0 * k->dq : k->dq;
         double *v = k->v + lo, *dv = k->dv + lo;
         for (int64_t i = 0; i < length; i++) {
             double d = 0.0;

@@ -7,10 +7,16 @@ many: it commits them to the solver's occupation and flux arrays,
 advances the Kahan clocks held in the struct, counts the junctions it
 recomputed and writes the event-stream digest records into a byte
 buffer of :data:`RECORD_BYTES`.  One event (``AdaptiveSolver.step``) is
-a run of one.  ``repro_prepare`` and ``repro_finish`` compute a flagged
+a run of one.  It runs normal-state and superconducting models:
+orthodox rates, or each junction's quasi-particle table lookup, and,
+with Cooper pairs on, the 2e channel drawn after the pair rates.
+``repro_prepare`` and ``repro_finish`` compute an orthodox flagged
 batch wider than :data:`SCALAR_BATCH` around one ``numpy.expm1`` call,
 whose results may differ in the last bit from libm's.  ``repro_hex``
-writes ``float.hex`` of an array, as the digest records do.
+writes ``float.hex`` of an array, as the digest records do;
+``repro_sum`` is ``numpy.sum``'s pairwise summation and
+``repro_qp_rates`` one junction's table lookup, which the tests hold
+against numpy and ``QuasiparticleRateTable``.
 
 The C file is compiled on first use with the system C compiler into the
 repro cache directory (:func:`repro.monitor.ledger.repro_cache_dir`),
@@ -54,12 +60,19 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: record might not fit (about 1,400 records of a small circuit).
 RECORD_BYTES = 1 << 16
 
-#: Largest flagged batch whose rates are computed with libm's ``expm1``
-#: (``_recompute_scalar``, or inside ``repro_run``).  Wider batches, and
-#: every batch of a retarget's vectorised walk, use numpy's ``expm1``,
-#: which may round differently.  The kernel reads this value from its
-#: ``scalar_batch`` field, so both paths split at the same width.
+#: Largest orthodox flagged batch whose rates are computed with libm's
+#: ``expm1`` (``_recompute_scalar``, or inside ``repro_run``).  Wider
+#: batches, and every batch of a retarget's vectorised walk, use numpy's
+#: ``expm1``, which may round differently.  The kernel reads this value
+#: from its ``scalar_batch`` field, so both paths split at the same
+#: width; superconducting batches of any width take the scalar route.
 SCALAR_BATCH = 64
+
+#: At and below this argument libm's and numpy's ``expm1`` both give
+#: exactly -1.0.  The kernel evaluates a quasi-particle table's ohmic
+#: extension with libm, so a model binds only when every extension
+#: argument lies there.
+EXPM1_MINUS_ONE = -38.0
 
 _double_p = ctypes.POINTER(ctypes.c_double)
 _int64_p = ctypes.POINTER(ctypes.c_int64)
@@ -110,8 +123,22 @@ class Kernel(ctypes.Structure):
         ("cap", ctypes.c_double),
         ("dq", ctypes.c_double),
         ("scalar_batch", ctypes.c_int64),
+        ("qp_grid", ctypes.c_void_p),
+        ("qp_rates", ctypes.c_void_p),
+        ("qp_points", _int64_p),
+        ("qp_params", _double_p),
+        ("cooper", ctypes.c_int64),
+        ("cp_charging", _double_p),
+        ("ej2", _double_p),
+        ("cp_scale", ctypes.c_double),
+        ("cp_quarter", ctypes.c_double),
+        ("pair", _double_p),
+        ("cp_dw", _double_p),
+        ("cp_rate", _double_p),
+        ("cumulative", _double_p),
         ("junction", ctypes.c_int64),
         ("forward", ctypes.c_int64),
+        ("n_electrons", ctypes.c_int64),
         ("n_flagged", ctypes.c_int64),
         ("dt", ctypes.c_double),
         ("dw", ctypes.c_double),
@@ -132,8 +159,9 @@ class Kernel(ctypes.Structure):
 @dataclasses.dataclass(frozen=True)
 class Native:
     """Outcome of :func:`load`: the bound ``repro_run``,
-    ``repro_finish``, ``repro_prepare`` and ``repro_hex`` functions and
-    the library path, or ``run=None`` and the reason."""
+    ``repro_finish``, ``repro_prepare``, ``repro_hex``, ``repro_sum`` and
+    ``repro_qp_rates`` functions and the library path, or ``run=None``
+    and the reason."""
 
     run: Any
     finish: Any
@@ -141,6 +169,8 @@ class Native:
     reason: str = ""
     prepare: Any = None
     hex: Any = None
+    sum: Any = None
+    qp_rates: Any = None
 
     def describe(self) -> str:
         """One line: which adaptive step runs, and why or from where."""
@@ -202,6 +232,7 @@ def load() -> Native:
         run = library.repro_run
         prepare, finish = library.repro_prepare, library.repro_finish
         hex_ = library.repro_hex
+        sum_, qp_rates = library.repro_sum, library.repro_qp_rates
     except (OSError, AttributeError, subprocess.SubprocessError) as exc:
         detail = getattr(exc, "stderr", None)
         reason = f"{type(exc).__name__}: {exc}"
@@ -219,4 +250,13 @@ def load() -> Native:
     finish.restype = None
     hex_.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     hex_.restype = ctypes.c_int64
-    return Native(run, finish, path, prepare=prepare, hex=hex_)
+    sum_.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    sum_.restype = ctypes.c_double
+    qp_rates.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_void_p,
+    ]
+    qp_rates.restype = None
+    return Native(
+        run, finish, path, prepare=prepare, hex=hex_, sum=sum_, qp_rates=qp_rates,
+    )

@@ -14,6 +14,8 @@ then answers vectorised rate queries:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.circuit.circuit import Circuit
@@ -54,9 +56,10 @@ class TunnelingModel:
         the circuit is superconducting).
     cooper_linewidth:
         Lorentzian linewidth energy in joules; defaults to a small
-        fraction of the gap.
+        fraction of the gap.  Must be finite and > 0 when given.
     cotunneling_energy_floor:
-        Regularisation floor for virtual-state energies in joules.
+        Regularisation floor for virtual-state energies in joules.  Must
+        be finite and > 0 when given.
     qp_table_points:
         Resolution of the quasi-particle rate tables.
     """
@@ -75,6 +78,12 @@ class TunnelingModel:
     ):
         if temperature < 0.0:
             raise PhysicsError(f"temperature must be >= 0, got {temperature}")
+        for name, value in (
+            ("cooper_linewidth", cooper_linewidth),
+            ("cotunneling_energy_floor", cotunneling_energy_floor),
+        ):
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise PhysicsError(f"{name} must be finite and > 0, got {value}")
         self.circuit = circuit
         self.electrostatics = electrostatics
         self.junction_table = junction_table

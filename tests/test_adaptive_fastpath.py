@@ -296,8 +296,8 @@ def run_toggled(fast, ref, vectors, blocks, events):
 def test_set_matches_reference(
     monkeypatch, superconducting, temperature, threshold
 ):
-    """The superconducting SET stays on the Python path and draws
-    without the sampling tree; its scalar table lookups must give the
+    """The superconducting SET runs in the kernel and draws without the
+    sampling tree; its quasi-particle table lookups in C must give the
     reference's numpy array lookups bit for bit."""
     config = SimulationConfig(
         temperature=temperature, seed=11, event_hash=True,
@@ -311,18 +311,14 @@ def test_set_matches_reference(
     fast, ref = engine_pair(
         monkeypatch, build_set(superconductor=superconductor), config
     )
-    if superconducting:
-        assert fast.solver._kernel is None
-    else:
-        kernel_steps = count_kernel_steps(fast.solver)
+    kernel_steps = count_kernel_steps(fast.solver)
     vectors = (
         {"vs": 0.03, "vd": -0.03, "vg": 0.004},
         {"vs": 0.05, "vd": -0.05, "vg": -0.002},
     )
     run_toggled(fast, ref, vectors, blocks=8, events=400)
     assert fast.solver.stats.events == 3200
-    if not superconducting:
-        assert kernel_events(kernel_steps) == 3200
+    assert kernel_events(kernel_steps) == 3200
     assert fast.solver.stats.full_refreshes > 1
     assert (ref.solver.repaired_leaves > 0) == (not superconducting)
 
@@ -748,7 +744,7 @@ def test_kernel_buffers_stay_in_place():
 
 def test_frozen_start_then_kernel_events_match_reference(monkeypatch):
     """At T = 0 inside the blockade the first step finds every rate zero
-    and falls back to the Python draw, which advances to the deadline;
+    and leaves the frozen draw to Python, which advances to the deadline;
     once the drive opens the blockade the kernel commits the events.
     Occupation, flux and the event hash match the Python path, and the
     flux is exactly what the returned events carry: none is applied
@@ -757,14 +753,14 @@ def test_frozen_start_then_kernel_events_match_reference(monkeypatch):
     fast, ref = engine_pair(monkeypatch, build_set(vs=0.0, vd=0.0), config)
     solver = fast.solver
     calls = count_kernel_steps(solver)
-    fallback = solver._select_fast
+    fallback = solver._frozen_draw
     fallbacks = []
 
     def counted_fallback(deadline=None):
         fallbacks.append(deadline)
         return fallback(deadline)
 
-    solver._select_fast = counted_fallback
+    solver._frozen_draw = counted_fallback
     events = []
     solver_step = solver.step
 

@@ -1,5 +1,6 @@
 """Tests for the per-circuit TunnelingModel bundle."""
 
+import math
 import pickle
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from repro.circuit import Electrostatics, JunctionTable, build_set
 from repro.constants import MEV
+from repro.core import MonteCarloEngine, SimulationConfig
 from repro.errors import PhysicsError
+from repro.master import MasterEquationSolver
 from repro.physics import TunnelingModel
 from repro.physics.orthodox import orthodox_rates_both
 
@@ -94,3 +97,41 @@ class TestSuperconductingModel:
         fw_in, _ = model.sequential_rates(inside, inside)
         fw_out, _ = model.sequential_rates(outside, outside)
         assert np.all(fw_out > 1e6 * np.maximum(fw_in, 1e-300))
+
+
+class TestPhysicsOverrides:
+    """``cooper_linewidth`` and ``cotunneling_energy_floor`` are checked
+    when the model is built: a NaN linewidth would otherwise run the
+    clock to NaN, an infinite floor to ~1e141 s, and zero or negative
+    values would raise only at the first event."""
+
+    @pytest.fixture(params=["cooper_linewidth", "cotunneling_energy_floor"])
+    def override(self, request, sset_circuit, set_circuit):
+        """The override's name, a circuit whose channel uses it, and
+        the model options that switch the channel on."""
+        if request.param == "cooper_linewidth":
+            return request.param, sset_circuit, {"temperature": 0.05}
+        return request.param, set_circuit, {
+            "temperature": 1.0, "include_cotunneling": True,
+        }
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, 0.0, -1.0],
+        ids=["nan", "inf", "zero", "negative"],
+    )
+    def test_bad_value_is_refused_at_build(self, override, value):
+        name, circuit, options = override
+        config = SimulationConfig(**options, **{name: value})
+        with pytest.raises(PhysicsError, match=name):
+            MonteCarloEngine(circuit, config)
+        with pytest.raises(PhysicsError, match=name):
+            MasterEquationSolver(circuit, **options, **{name: value})
+
+    def test_finite_positive_value_runs(self, override):
+        name, circuit, options = override
+        engine = MonteCarloEngine(
+            circuit, SimulationConfig(**options, seed=1, **{name: 1e-24}),
+        )
+        engine.run(max_jumps=10)
+        assert math.isfinite(engine.solver.time)
+        MasterEquationSolver(circuit, **options, **{name: 1e-24})
